@@ -19,6 +19,7 @@ certificate, and prints the invariant monitor verdicts.
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -27,8 +28,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import tautuav as tu
 from tautuav.analysis import mission_radial_envelope, radial_envelope
-from tautuav.cli import (_certificate, _certificate_report, build_plan,
-                         emit_log, parse_config, plan_csv)
+from tautuav.cli import (_certificate_report, build_plan, emit_log,
+                         parse_config, plan_csv)
 
 
 def main() -> int:
@@ -46,23 +47,15 @@ def main() -> int:
 
     runs = []
     for mode in (tu.ScenarioMode.IDEAL_ATTITUDE, tu.ScenarioMode.INNER_NO_RG):
-        cfg = tu.SimConfig(dt=base_cfg.dt, t_final=base_cfg.t_final, mode=mode,
-                           initial=base_cfg.initial, reference=base_cfg.reference,
-                           convergence_tol=base_cfg.convergence_tol,
-                           convergence_dwell=base_cfg.convergence_dwell,
-                           tension_min=base_cfg.tension_min)
+        cfg = dataclasses.replace(base_cfg, mode=mode)
         t0 = time.perf_counter()
         log = tu.run_scenario(cfg, g, p)
         env = radial_envelope(cfg.initial.r, cfg.initial.r_dot,
                               cfg.reference.r_bar, g)
         runs.append((mode, log, env, time.perf_counter() - t0))
 
-    rg_cfg = tu.SimConfig(dt=base_cfg.dt, t_final=args.t_final_rg,
-                          mode=tu.ScenarioMode.INNER_WITH_RG,
-                          initial=base_cfg.initial, reference=base_cfg.reference,
-                          convergence_tol=base_cfg.convergence_tol,
-                          convergence_dwell=base_cfg.convergence_dwell,
-                          tension_min=base_cfg.tension_min)
+    rg_cfg = dataclasses.replace(base_cfg, mode=tu.ScenarioMode.INNER_WITH_RG,
+                                 t_final=args.t_final_rg)
     plan, cert = build_plan(p, g, rg_cfg)
     env_rg = mission_radial_envelope(
         rg_cfg.initial.r, rg_cfg.initial.r_dot,

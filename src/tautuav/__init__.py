@@ -11,9 +11,9 @@ from .equilibria import (EquilibriumData, PathSpec, Setpoint,
 from .governor import (GovernorState, Waypoint, WaypointPlan, backtrack_plan,
                        ball_radii, governor_step, min_radii, switch_ready)
 from .plant import (ControlInputs, FullState, PlantParams, StateDerivative,
-                    resolve_taut_coupling, taut_rhs, tension)
+                    resolve_taut_coupling, rk4_step, taut_rhs, tension)
 from .sim import (MonitorReport, ScenarioMode, SimConfig, TrajectoryLog,
-                  monitor_invariants, rk4_step, run_scenario)
+                  monitor_invariants, run_scenario)
 
 __all__ = [
     "ControlDiagnostics", "ControlInputs", "EquilibriumData", "FullState",

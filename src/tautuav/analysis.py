@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import GainConfig, saturate
-from .plant import FullState, PlantParams
+from . import equilibria
+from .control import GainConfig
+from .plant import FullState, PlantParams, rk4_step
 
 
 class SmallGainError(ValueError):
@@ -316,26 +317,21 @@ def empirical_inner_peak_gain(g: GainConfig,
     dt = min(2.0 * math.pi / freqs.max() / resolution, t_settle / 200.0)
     n = int(math.ceil(t_final / dt))
 
-    x1 = np.zeros_like(freqs)
-    x2 = np.zeros_like(freqs)
+    x = (np.zeros_like(freqs), np.zeros_like(freqs))
     peak = np.zeros_like(freqs)
     two_zq = 2.0 * g.zeta * q
 
-    def deriv(y1, y2, t):
+    def deriv(t, y):
+        y1, y2 = y
         u = np.sin(freqs * t)
         return y2 - u, -g.k_pt * y1 - two_zq * (y2 - u)
 
     t = 0.0
     for k in range(n):
-        a1, a2 = deriv(x1, x2, t)
-        b1, b2 = deriv(x1 + 0.5 * dt * a1, x2 + 0.5 * dt * a2, t + 0.5 * dt)
-        c1, c2 = deriv(x1 + 0.5 * dt * b1, x2 + 0.5 * dt * b2, t + 0.5 * dt)
-        d1, d2 = deriv(x1 + dt * c1, x2 + dt * c2, t + dt)
-        x1 = x1 + (dt / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        x2 = x2 + (dt / 6.0) * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        x = rk4_step(deriv, t, x, dt)
         t += dt
         if t >= t_settle:
-            np.maximum(peak, np.abs(x1), out=peak)
+            np.maximum(peak, np.abs(x[0]), out=peak)
     return float(peak.max())
 
 
@@ -351,8 +347,6 @@ def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
     differencing it, and taking the peak trailing-window ratio times a
     safety factor.
     """
-    from . import equilibria  # local import to avoid a cycle at module load
-
     t_bar = equilibria.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
     w_alpha = math.sqrt(g.k_pa)
     if freqs is None:
@@ -372,7 +366,8 @@ def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
                    - p.m * r * (g.k_pa * a_err + g.k_da * a_dot))
         return math.pi / 2.0 - alpha - np.arctan2(u_alpha, u_t)
 
-    def deriv(a_err, a_dot, t):
+    def deriv(t, y):
+        a_err, a_dot = y
         tt = amp * np.sin(freqs * t)
         cos_tt = np.cos(tt)
         alpha = sp.alpha_bar + a_err
@@ -381,29 +376,16 @@ def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
                - u_t * np.sin(tt) / (p.m * r))
         return a_dot, -(g.k_pa * a_err + g.k_da * a_dot) * cos_tt + gam
 
-    a_err = np.zeros_like(freqs)
-    a_dot = np.zeros_like(freqs)
+    y = (np.zeros_like(freqs), np.zeros_like(freqs))
     peak = np.zeros_like(freqs)
-    prev_tc = theta_c_of(a_err, a_dot)
+    prev_tc = theta_c_of(*y)
     t = 0.0
     for k in range(n):
-        k1e, k1d = deriv(a_err, a_dot, t)
-        k2e, k2d = deriv(a_err + 0.5 * dt * k1e, a_dot + 0.5 * dt * k1d, t + 0.5 * dt)
-        k3e, k3d = deriv(a_err + 0.5 * dt * k2e, a_dot + 0.5 * dt * k2d, t + 0.5 * dt)
-        k4e, k4d = deriv(a_err + dt * k3e, a_dot + dt * k3d, t + dt)
-        a_err = a_err + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-        a_dot = a_dot + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        y = rk4_step(deriv, t, y, dt)
         t += dt
-        tc = theta_c_of(a_err, a_dot)
+        tc = theta_c_of(*y)
         if t >= t_settle:
             np.maximum(peak, np.abs(tc - prev_tc) / dt, out=peak)
         prev_tc = tc
     return safety * float(peak.max()) / amp
 
-
-def radial_rate_rhs(r: float, r_dot: float, r_bar: float, g: GainConfig
-                    ) -> tuple[float, float]:
-    """Two-state radial closed loop, exposed for envelope validation."""
-    return r_dot, -saturate(g.k_dr * r_dot
-                            + saturate(g.k_pr * (r - r_bar), g.lambda2),
-                            g.lambda1)

@@ -3,10 +3,10 @@
 Configuration files are UTF-8 ``key = value`` lines; ``#`` starts a comment
 and blank lines are ignored.  Values are SI floats; angle-valued keys also
 accept ``pi`` expressions such as ``pi/8``, ``-pi/20`` or ``pi*9/10``.
-Missing keys fall back to the shipped defaults (the reference experiment's
-parameter set).  Derivative gains are derived from the stiffness gains and
-the damping ratio unless given explicitly, in which case they must satisfy
-the gain invariants.
+Missing keys fall back to the defaults of ``PlantParams``, ``GainConfig``
+and ``SimConfig`` (the reference experiment's parameter set).  Derivative
+gains are derived from the stiffness gains and the damping ratio unless
+given explicitly, in which case they must satisfy the gain invariants.
 
 Subcommands::
 
@@ -25,10 +25,10 @@ certificate failed), 1 for configuration or validation errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,16 +46,6 @@ class ConfigError(ValueError):
     """Configuration parsing or validation failure; message names the cause."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Resolved invocation: subcommand, config source, output directory, seed."""
-
-    subcommand: str
-    config_path: str | None
-    out_dir: str | None
-    seed: int
-
-
 _PI_EXPR = re.compile(
     r"^(?P<sign>[+-]?)pi(?:\*(?P<num>[0-9]+(?:\.[0-9]*)?))?"
     r"(?:/(?P<den>[0-9]+(?:\.[0-9]*)?))?$")
@@ -68,21 +58,26 @@ _STATE_KEYS = ("r0", "r_dot0", "alpha0", "alpha_dot0", "theta0", "theta_dot0")
 _REF_KEYS = ("r_bar", "alpha_bar", "theta_bar")
 _SIM_KEYS = ("dt", "t_final", "mode", "convergence_tol", "convergence_dwell",
              "tension_min")
-_ALL_KEYS = frozenset(_PLANT_KEYS + _GAIN_KEYS + _STATE_KEYS + _REF_KEYS
-                      + _SIM_KEYS)
 
-_DEFAULTS: dict[str, float | str] = {
-    "m": 2.0, "j_uav": 0.015, "i_winch": 0.01, "rho": 0.1, "g": 9.81,
-    "k_pr": 30.0, "k_pa": 30.0, "k_pt": 200.0, "zeta": 0.9,
-    "lambda1": 0.4, "lambda2": 2.0, "eps": 1.0, "nu": 0.5,
-    "theta_tilde_max": 0.8, "gamma_out": 2.0,
-    "r0": 1.0, "r_dot0": 0.0, "alpha0": math.pi / 8.0, "alpha_dot0": 0.0,
-    "theta0": math.pi / 10.0, "theta_dot0": 0.0,
-    "r_bar": 0.5, "alpha_bar": math.pi * 9.0 / 10.0,
-    "theta_bar": -math.pi / 20.0,
-    "dt": 1e-3, "t_final": 10.0, "mode": "ideal-attitude",
-    "convergence_tol": 1e-3, "convergence_dwell": 0.5, "tension_min": 0.0,
+# config key -> (bundle part, attribute); see _parts for the parts.  A state
+# key is the FullState field name with a '0' suffix.
+_FIELDS: dict[str, tuple[str, str]] = {
+    **{k: ("plant", k) for k in _PLANT_KEYS},
+    **{k: ("gains", k) for k in _GAIN_KEYS},
+    **{k: ("initial", k[:-1]) for k in _STATE_KEYS},
+    **{k: ("reference", k) for k in _REF_KEYS},
+    **{k: ("sim", k) for k in _SIM_KEYS},
 }
+
+
+def _parts(p: PlantParams, g: GainConfig, cfg: SimConfig) -> dict[str, object]:
+    return {"plant": p, "gains": g, "sim": cfg, "initial": cfg.initial,
+            "reference": cfg.reference}
+
+
+def _field(parts: dict[str, object], key: str):
+    part, attr = _FIELDS[key]
+    return getattr(parts[part], attr)
 
 
 def parse_value(text: str) -> float:
@@ -116,7 +111,7 @@ def _parse_pairs(text: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
@@ -127,11 +122,12 @@ def _parse_pairs(text: str) -> dict[str, str]:
 def parse_config(text: str) -> tuple[PlantParams, GainConfig, SimConfig]:
     """Parse a flat config document into the validated parameter bundle."""
     pairs = _parse_pairs(text)
+    defaults = _parts(PlantParams(), GainConfig(), SimConfig())
 
     def num(key: str) -> float:
         if key in pairs:
             return parse_value(pairs[key])
-        return float(_DEFAULTS[key])  # type: ignore[arg-type]
+        return _field(defaults, key)
 
     try:
         plant = PlantParams(**{k: num(k) for k in _PLANT_KEYS})
@@ -162,7 +158,7 @@ def parse_config(text: str) -> tuple[PlantParams, GainConfig, SimConfig]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    mode_text = str(pairs.get("mode", _DEFAULTS["mode"]))
+    mode_text = pairs.get("mode", _field(defaults, "mode").value)
     try:
         mode = ScenarioMode(mode_text)
     except ValueError:
@@ -192,25 +188,13 @@ def parse_config(text: str) -> tuple[PlantParams, GainConfig, SimConfig]:
 
 def emit_config(p: PlantParams, g: GainConfig, cfg: SimConfig) -> str:
     """Render a bundle back to config text; re-parsing yields an identical bundle."""
-    values: dict[str, str] = {}
-    for key in _PLANT_KEYS:
-        values[key] = repr(getattr(p, key))
-    for key in _GAIN_KEYS:
-        values[key] = repr(getattr(g, key))
-    s, ref = cfg.initial, cfg.reference
-    values.update({
-        "r0": repr(s.r), "r_dot0": repr(s.r_dot), "alpha0": repr(s.alpha),
-        "alpha_dot0": repr(s.alpha_dot), "theta0": repr(s.theta),
-        "theta_dot0": repr(s.theta_dot),
-        "r_bar": repr(ref.r_bar), "alpha_bar": repr(ref.alpha_bar),
-        "theta_bar": repr(ref.theta_bar),
-        "dt": repr(cfg.dt), "t_final": repr(cfg.t_final),
-        "mode": cfg.mode.value,
-        "convergence_tol": repr(cfg.convergence_tol),
-        "convergence_dwell": repr(cfg.convergence_dwell),
-        "tension_min": repr(cfg.tension_min),
-    })
-    return "\n".join(f"{k} = {values[k]}" for k in sorted(values)) + "\n"
+    parts = _parts(p, g, cfg)
+    lines = []
+    for key in sorted(_FIELDS):
+        value = _field(parts, key)
+        text = value.value if isinstance(value, ScenarioMode) else repr(value)
+        lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -416,16 +400,7 @@ def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
         changes["dt"] = args.dt
     if getattr(args, "t_final", None) is not None:
         changes["t_final"] = args.t_final
-    if not changes:
-        return cfg
-    return SimConfig(
-        dt=changes.get("dt", cfg.dt),
-        t_final=changes.get("t_final", cfg.t_final),
-        mode=changes.get("mode", cfg.mode),
-        initial=cfg.initial, reference=cfg.reference,
-        convergence_tol=cfg.convergence_tol,
-        convergence_dwell=cfg.convergence_dwell,
-        tension_min=cfg.tension_min)
+    return dataclasses.replace(cfg, **changes)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -473,30 +448,27 @@ def main(argv: list[str] | None = None) -> int:
     sweep_p.add_argument("--t-final", dest="t_final", type=float)
 
     args = parser.parse_args(argv)
-    manifest = RunManifest(subcommand=args.subcommand, config_path=args.config,
-                           out_dir=args.out, seed=args.seed)
 
     try:
-        if manifest.subcommand == "sweep":
-            return _cmd_sweep(manifest, args)
-        p, g, cfg = _load_config(manifest.config_path)
-        if manifest.subcommand == "simulate":
-            return _run_simulate(p, g, _apply_overrides(cfg, args),
-                                 manifest.out_dir)
-        if manifest.subcommand == "plan":
-            return _cmd_plan(p, g, cfg, manifest, args)
-        if manifest.subcommand == "certify":
+        if args.subcommand == "sweep":
+            return _cmd_sweep(args)
+        p, g, cfg = _load_config(args.config)
+        if args.subcommand == "simulate":
+            return _run_simulate(p, g, _apply_overrides(cfg, args), args.out)
+        if args.subcommand == "plan":
+            return _cmd_plan(p, g, cfg, args)
+        if args.subcommand == "certify":
             text, ok = _certificate_report(p, g, cfg, args.estimate_gamma_out)
-            _write_or_print(text, manifest.out_dir, "certificate.txt")
-            if manifest.out_dir is not None:
+            _write_or_print(text, args.out, "certificate.txt")
+            if args.out is not None:
                 print(text, end="")
             return 0 if ok else 2
-        if manifest.subcommand == "attainable-set":
+        if args.subcommand == "attainable-set":
             eps = g.eps if args.eps is None else args.eps
             rows = attainable_set_sample(eps, args.grid, p)
             lines = ["alpha_bar,theta_min,theta_max"]
             lines += [",".join(_fmt(v) for v in row) for row in rows]
-            _write_or_print("\n".join(lines) + "\n", manifest.out_dir,
+            _write_or_print("\n".join(lines) + "\n", args.out,
                             "attainable_set.csv")
             return 0
     except ConfigError as exc:
@@ -508,11 +480,10 @@ def main(argv: list[str] | None = None) -> int:
     raise AssertionError("unreachable subcommand")
 
 
-def _cmd_plan(p: PlantParams, g: GainConfig, cfg: SimConfig,
-              manifest: RunManifest, args) -> int:
+def _cmd_plan(p: PlantParams, g: GainConfig, cfg: SimConfig, args) -> int:
     plan, _ = build_plan(p, g, cfg, estimate=args.estimate_gamma_out)
     if args.validate_samples > 0:
-        rng = np.random.default_rng(manifest.seed)
+        rng = np.random.default_rng(args.seed)
         start = Setpoint(cfg.initial.r, cfg.initial.alpha, cfg.initial.theta)
         path = equilibria.interpolate_path(start, cfg.reference, g.eps, p)
         for seg_start, seg_end in path.segments:
@@ -524,14 +495,14 @@ def _cmd_plan(p: PlantParams, g: GainConfig, cfg: SimConfig,
                     print(f"error: sampled path point {sp} not attainable",
                           file=sys.stderr)
                     return 2
-    _write_or_print(plan_csv(plan), manifest.out_dir, "plan.csv")
+    _write_or_print(plan_csv(plan), args.out, "plan.csv")
     return 0
 
 
-def _cmd_sweep(manifest: RunManifest, args) -> int:
-    if manifest.config_path is None:
+def _cmd_sweep(args) -> int:
+    if args.config is None:
         raise ConfigError("sweep requires --config pointing at a directory")
-    cfg_dir = Path(manifest.config_path)
+    cfg_dir = Path(args.config)
     if not cfg_dir.is_dir():
         raise ConfigError(f"sweep --config must be a directory, got {cfg_dir}")
     files = sorted(cfg_dir.glob("*.cfg"))
@@ -546,8 +517,8 @@ def _cmd_sweep(manifest: RunManifest, args) -> int:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 1
         out = None
-        if manifest.out_dir is not None:
-            out = str(Path(manifest.out_dir) / f.stem)
+        if args.out is not None:
+            out = str(Path(args.out) / f.stem)
         code = _run_simulate(p, g, _apply_overrides(cfg, args), out)
         worst = max(worst, code)
     return worst

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 from . import equilibria
 from .equilibria import Setpoint, default_hover_tension
-from .plant import ControlInputs, FullState, PlantParams, StateDerivative
+from .plant import (ControlInputs, FullState, PlantParams, StateDerivative,
+                    elevation_acceleration, tension)
 
 
 class PreconditionError(ValueError):
@@ -224,14 +225,8 @@ def closed_loop_rhs(state: FullState, sp: Setpoint, g: GainConfig,
                                 alpha_ddot, 0.0, 0.0)
     else:
         u2 = inner_loop(state, theta_c, g, p)
-        alpha_ddot = (-(2.0 * state.r_dot * state.alpha_dot
-                        + p.g * math.cos(state.alpha)) / state.r
-                      + u1 * math.cos(state.alpha + state.theta)
-                      / (p.m * state.r))
-        tension_value = (p.m * state.r * state.alpha_dot ** 2
-                         - p.m * p.g * math.sin(state.alpha)
-                         + u1 * math.sin(state.alpha + state.theta)
-                         - p.m * r_ddot)
+        alpha_ddot = elevation_acceleration(state, u1, p)
+        tension_value = tension(state, u1, r_ddot, p)
         deriv = StateDerivative(state.r_dot, r_ddot, state.alpha_dot,
                                 alpha_ddot, state.theta_dot, u2 / p.j_uav)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .plant import ControlInputs, FullState, PlantParams
+from .plant import ControlInputs, PlantParams
 
 HALF_PI = math.pi / 2.0
 
@@ -168,11 +168,6 @@ def equilibrium_data(sp: Setpoint, p: PlantParams,
         t_bar=equilibrium_tension(sp, p, hover_tension),
         u1_bar=equilibrium_inputs(sp, p, hover_tension).u1,
     )
-
-
-def equilibrium_state(sp: Setpoint) -> FullState:
-    """The plant state sitting at the setpoint with zero rates."""
-    return FullState(sp.r_bar, 0.0, sp.alpha_bar, 0.0, sp.theta_bar, 0.0)
 
 
 def interpolate_setpoint(a: Setpoint, b: Setpoint, lam: float) -> Setpoint:

@@ -35,6 +35,11 @@ from .equilibria import Setpoint, interpolate_path, interpolate_setpoint
 from .plant import FullState, PlantParams
 
 
+#: Share of the tension-safe peak attitude-error budget that the ball radii
+#: use, keeping the budget strictly interior.
+BUDGET_SPLIT = 0.75
+
+
 class InfeasibleRadiiError(ValueError):
     """Raised when no positive invariant-ball radii exist for a setpoint."""
 
@@ -88,9 +93,8 @@ class GovernorState:
 
 
 def _radii_for_tension(t_bar: float, g: GainConfig, p: PlantParams,
-                       cert: GainCertificate, r_env: RadialEnvelope,
-                       split: float = 0.75,
-                       u3_inf: float | None = None) -> tuple[float, float]:
+                       cert: GainCertificate, r_env: RadialEnvelope
+                       ) -> tuple[float, float]:
     """Invariant-ball radii for a waypoint of equilibrium tension ``t_bar``.
 
     The peak-norm budget pair is placed on the midpoint ray of the band
@@ -100,7 +104,9 @@ def _radii_for_tension(t_bar: float, g: GainConfig, p: PlantParams,
 
         (coeff*kappa/gamma_in) * l_theta**2 + d * l_theta < t_bar,
 
-    solved in closed form; ``split`` keeps the budget strictly interior.
+    solved in closed form, with ``d`` bounding the radial feed-through by
+    ``m*lambda1`` (the certified radial acceleration bound);
+    :data:`BUDGET_SPLIT` keeps the budget strictly interior.
     Inverting the small-gain bound matrix then gives
 
         dx_alpha = (1 - gin*gout)/(2*gin) * l_theta
@@ -108,33 +114,26 @@ def _radii_for_tension(t_bar: float, g: GainConfig, p: PlantParams,
 
     both strictly positive and monotone in ``t_bar``, so radii at any
     attainable waypoint dominate the ``eps``-floor componentwise.
-    ``u3_inf`` switches the radial feed-through bound from ``m*lambda1``
-    (the certified radial acceleration bound) to a configured winch-torque
-    norm.
     """
     if not t_bar > 0.0:
         raise InfeasibleRadiiError(f"equilibrium tension must be positive, got {t_bar}")
-    if not 0.0 < split < 1.0:
-        raise ValueError(f"split must lie in (0, 1), got {split}")
     if not cert.small_gain_ok:
         raise InfeasibleRadiiError("certificate does not establish the small-gain "
                                    "conditions; radii are undefined")
     gin, gout = cert.gamma_in, cert.gamma_out
     product = gin * gout
     kappa = 0.5 * (1.0 + product)
-    feed = p.m * g.lambda1 if u3_inf is None else p.m * u3_inf
-    d = t_bar + math.sqrt(2.0) * p.m * p.g + feed
+    d = t_bar + math.sqrt(2.0) * p.m * p.g + p.m * g.lambda1
     coeff = 2.0 * p.m * r_env.vel_bound + p.m * r_env.r_max * (g.k_pa + g.k_da)
     a_quad = coeff * kappa / gin
     l_theta_quad = (-d + math.sqrt(d * d + 4.0 * a_quad * t_bar)) / (2.0 * a_quad)
-    l_theta = split * min(l_theta_quad, g.theta_tilde_max)
+    l_theta = BUDGET_SPLIT * min(l_theta_quad, g.theta_tilde_max)
     return ((1.0 - product) / (2.0 * gin) * l_theta,
             0.5 * (1.0 - product) * l_theta)
 
 
 def min_radii(g: GainConfig, p: PlantParams, cert: GainCertificate,
-              r_env: RadialEnvelope, split: float = 0.75,
-              u3_inf: float | None = None) -> tuple[float, float]:
+              r_env: RadialEnvelope) -> tuple[float, float]:
     """Global radius floor: ball radii evaluated at the tension margin ``eps``.
 
     Every attainable waypoint has equilibrium tension above ``eps``, so this
@@ -144,13 +143,12 @@ def min_radii(g: GainConfig, p: PlantParams, cert: GainCertificate,
         raise InfeasibleRadiiError(
             "the governor needs a positive tension margin eps to floor the "
             f"ball radii, got eps={g.eps}")
-    return _radii_for_tension(g.eps, g, p, cert, r_env, split, u3_inf)
+    return _radii_for_tension(g.eps, g, p, cert, r_env)
 
 
 def ball_radii(sp: Setpoint, g: GainConfig, p: PlantParams,
-               cert: GainCertificate, r_env: RadialEnvelope,
-               split: float = 0.75,
-               u3_inf: float | None = None) -> tuple[float, float]:
+               cert: GainCertificate, r_env: RadialEnvelope
+               ) -> tuple[float, float]:
     """Invariant-ball radii for a specific waypoint setpoint.
 
     Evaluated at the waypoint's own equilibrium tension; monotonicity of the
@@ -158,7 +156,7 @@ def ball_radii(sp: Setpoint, g: GainConfig, p: PlantParams,
     ``eps``-floor componentwise for every attainable waypoint.
     """
     t_bar = equilibria.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
-    return _radii_for_tension(t_bar, g, p, cert, r_env, split, u3_inf)
+    return _radii_for_tension(t_bar, g, p, cert, r_env)
 
 
 def switch_ready(state: FullState, next_wp: Waypoint) -> bool:
@@ -194,8 +192,7 @@ def _march_segment(waypoints: list[Waypoint], near: Setpoint, far: Setpoint,
                    seg_index: int, n_segs: int, last_segment: bool,
                    floor: tuple[float, float],
                    g: GainConfig, p: PlantParams, cert: GainCertificate,
-                   r_env: RadialEnvelope, split: float,
-                   u3_inf: float | None, max_waypoints: int) -> None:
+                   r_env: RadialEnvelope, max_waypoints: int) -> None:
     """March waypoints from ``near`` (the final-reference side) toward ``far``.
 
     The step out of each waypoint is its own ball radius minus half the
@@ -237,7 +234,7 @@ def _march_segment(waypoints: list[Waypoint], near: Setpoint, far: Setpoint,
             # remaining span fits in the chain end's ball; the start state
             # (zero rates) is therefore already admissible
             return
-        radii = ball_radii(sp_next, g, p, cert, r_env, split, u3_inf)
+        radii = ball_radii(sp_next, g, p, cert, r_env)
         s_global = (seg_index + u_next) / n_segs
         waypoints.append(Waypoint(sp=sp_next, s=s_global,
                                   dx_alpha=radii[0], dx_theta=radii[1]))
@@ -251,8 +248,7 @@ def _march_segment(waypoints: list[Waypoint], near: Setpoint, far: Setpoint,
 
 def backtrack_plan(start: Setpoint, final: Setpoint, g: GainConfig,
                    p: PlantParams, cert: GainCertificate,
-                   r_env: RadialEnvelope, split: float = 0.75,
-                   u3_inf: float | None = None,
+                   r_env: RadialEnvelope,
                    max_waypoints: int = 10_000) -> WaypointPlan:
     """Build the waypoint chain from ``final`` back to ``start``.
 
@@ -262,8 +258,8 @@ def backtrack_plan(start: Setpoint, final: Setpoint, g: GainConfig,
     ball the plan is the single final waypoint.
     """
     path = interpolate_path(start, final, g.eps, p)
-    floor = min_radii(g, p, cert, r_env, split, u3_inf)
-    final_radii = ball_radii(final, g, p, cert, r_env, split, u3_inf)
+    floor = min_radii(g, p, cert, r_env)
+    final_radii = ball_radii(final, g, p, cert, r_env)
     waypoints = [Waypoint(sp=final, s=0.0, dx_alpha=final_radii[0],
                           dx_theta=final_radii[1])]
     # path segments run start -> final; march them reversed, final side first
@@ -273,6 +269,6 @@ def backtrack_plan(start: Setpoint, final: Setpoint, g: GainConfig,
     for i, (near, far) in enumerate(segments):
         _march_segment(waypoints, near, far, i, n_segs,
                        last_segment=(i == n_segs - 1), floor=floor,
-                       g=g, p=p, cert=cert, r_env=r_env, split=split,
-                       u3_inf=u3_inf, max_waypoints=max_waypoints)
+                       g=g, p=p, cert=cert, r_env=r_env,
+                       max_waypoints=max_waypoints)
     return WaypointPlan(waypoints=tuple(waypoints), min_radii=floor)

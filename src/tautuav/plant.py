@@ -22,12 +22,17 @@ tension ``T``.  The tension is not a free input: it is the reaction force
 and the model is only physically valid while ``T > 0`` (a cable cannot
 push).  All functions here are pure evaluations; interpreting the sign of
 ``T`` is left to the callers that monitor the constraint.
+
+The package's one fixed-step integrator, :func:`rk4_step`, lives here too,
+so that every layer that integrates (simulation, gain analysis) can reach
+it without importing the simulator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 
 def wrap_angle(x: float) -> float:
@@ -129,15 +134,22 @@ def tension(state: FullState, u1: float, r_ddot: float, p: PlantParams) -> float
             - p.m * r_ddot)
 
 
+def elevation_acceleration(state: FullState, u1: float,
+                           p: PlantParams) -> float:
+    """Elevation acceleration: polar Coriolis and gravity terms plus the
+    thrust's tangential component.  Requires ``r > 0``."""
+    return (-(2.0 * state.r_dot * state.alpha_dot
+              + p.g * math.cos(state.alpha)) / state.r
+            + u1 * math.cos(state.alpha + state.theta) / (p.m * state.r))
+
+
 def taut_rhs(state: FullState, u: ControlInputs, tension_value: float,
              p: PlantParams) -> StateDerivative:
     """Taut-cable equations of motion for a given tension value."""
     if not state.r > 0.0:
         raise ValueError(f"taut model requires r > 0, got r={state.r}")
     r_ddot = (p.rho / p.i_winch) * u.u3 + (p.rho ** 2 / p.i_winch) * tension_value
-    alpha_ddot = (-(2.0 * state.r_dot * state.alpha_dot
-                    + p.g * math.cos(state.alpha)) / state.r
-                  + u.u1 * math.cos(state.alpha + state.theta) / (p.m * state.r))
+    alpha_ddot = elevation_acceleration(state, u.u1, p)
     theta_ddot = u.u2 / p.j_uav
     return StateDerivative(state.r_dot, r_ddot, state.alpha_dot, alpha_ddot,
                            state.theta_dot, theta_ddot)
@@ -164,3 +176,27 @@ def resolve_taut_coupling(state: FullState, u: ControlInputs,
     scale = 1.0 + p.m * p.rho ** 2 / p.i_winch
     r_ddot = ((p.rho / p.i_winch) * u.u3 + (p.rho ** 2 / p.i_winch) * c) / scale
     return r_ddot, c - p.m * r_ddot
+
+
+def rk4_step(f: Callable[[float, Sequence], Sequence], t: float,
+             y: Sequence, dt: float, k1: Sequence | None = None) -> tuple:
+    """One classical fourth-order Runge-Kutta step of ``y' = f(t, y)``.
+
+    ``y`` and the values of ``f`` are sequences of floats, or of equally
+    shaped arrays to advance a batch; the arithmetic is elementwise either
+    way, so a batch entry equals the scalar step bit for bit.  ``f`` gets
+    the intermediate stage states as lists.  ``k1`` passes an evaluation
+    ``f(t, y)`` the caller has already made.  Returns the new state as a
+    tuple; checking it for finiteness is left to the caller.
+    """
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    half = 0.5 * dt
+    if k1 is None:
+        k1 = f(t, y)
+    # list comprehensions: cheaper than generators on the scalar path
+    k2 = f(t + half, [yi + half * ki for yi, ki in zip(y, k1)])
+    k3 = f(t + half, [yi + half * ki for yi, ki in zip(y, k2)])
+    k4 = f(t + dt, [yi + dt * ki for yi, ki in zip(y, k3)])
+    return tuple([yi + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])

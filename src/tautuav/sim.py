@@ -4,8 +4,8 @@ Three closed-loop flavours are supported: ideal attitude (the pitch equals
 its command instantly and only the radial/elevation states evolve), the
 real attitude loop driven directly by the far reference, and the real loop
 supervised by a waypoint governor.  Integration is classical fourth-order
-Runge-Kutta at a fixed step, which makes runs bit-reproducible and event
-times stable.
+Runge-Kutta at a fixed step (:func:`tautuav.plant.rk4_step`), which makes
+runs bit-reproducible and event times stable.
 
 Each step logs the full state, the applied inputs, the cable tension, and
 the commanded pitch.  Event detection runs on the logged samples: the first
@@ -22,14 +22,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .control import GainConfig, closed_loop_rhs
 from .equilibria import Setpoint
 from .governor import GovernorState, WaypointPlan, governor_step
-from .plant import FullState, PlantParams, StateDerivative, wrap_angle
+from .plant import FullState, PlantParams, rk4_step, wrap_angle
 
 
 class SimulationDiverged(RuntimeError):
@@ -63,8 +62,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.t_final > self.dt:
-            raise ValueError(f"t_final must exceed dt, got {self.t_final}")
+        if not self.dt < self.t_final < math.inf:
+            raise ValueError(f"t_final must be finite and exceed dt, "
+                             f"got {self.t_final}")
+        if not math.isclose(round(self.t_final / self.dt) * self.dt,
+                            self.t_final, rel_tol=1e-9):
+            raise ValueError(f"dt={self.dt} does not divide "
+                             f"t_final={self.t_final} into whole steps")
         if not self.convergence_tol > 0.0:
             raise ValueError(f"convergence_tol must be positive, "
                              f"got {self.convergence_tol}")
@@ -113,23 +117,6 @@ class TrajectoryLog:
                 self.tension, self.theta_c, self.waypoint)
 
 
-def rk4_step(state: FullState, rhs: Callable[[FullState], StateDerivative],
-             dt: float) -> FullState:
-    """One classical Runge-Kutta step of the six-dimensional state."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    y = state.as_tuple()
-    k1 = rhs(state).as_tuple()
-    k2 = rhs(FullState(*(y[i] + 0.5 * dt * k1[i] for i in range(6)))).as_tuple()
-    k3 = rhs(FullState(*(y[i] + 0.5 * dt * k2[i] for i in range(6)))).as_tuple()
-    k4 = rhs(FullState(*(y[i] + dt * k3[i] for i in range(6)))).as_tuple()
-    out = tuple(y[i] + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                for i in range(6))
-    if not all(math.isfinite(v) for v in out):
-        raise SimulationDiverged(f"non-finite state after step: {out}")
-    return FullState(*out)
-
-
 def _six_state_error(row_state: tuple[float, ...], ref: Setpoint) -> float:
     r, r_dot, alpha, alpha_dot, theta, theta_dot = row_state
     return math.sqrt((r - ref.r_bar) ** 2 + r_dot ** 2
@@ -168,6 +155,11 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
     convergence_time: float | None = None
     prev_tension: float | None = None
     first_violation: float | None = None
+
+    def stage(t: float, y: list[float]) -> tuple[float, ...]:
+        # the RK4 stages hold the reference applied at the step's start
+        return closed_loop_rhs(FullState(*y), ref, g, p,
+                               ideal_attitude=ideal)[0].as_tuple()
 
     for k in range(n_steps + 1):
         t = k * cfg.dt
@@ -217,21 +209,8 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
         if k == n_steps:
             break
 
-        # advance with the classical RK4 stages, reusing the logged evaluation
-        y = state.as_tuple()
-        k1 = deriv.as_tuple()
-        k2 = closed_loop_rhs(FullState(*(y[i] + 0.5 * cfg.dt * k1[i]
-                                         for i in range(6))),
-                             ref, g, p, ideal_attitude=ideal)[0].as_tuple()
-        k3 = closed_loop_rhs(FullState(*(y[i] + 0.5 * cfg.dt * k2[i]
-                                         for i in range(6))),
-                             ref, g, p, ideal_attitude=ideal)[0].as_tuple()
-        k4 = closed_loop_rhs(FullState(*(y[i] + cfg.dt * k3[i]
-                                         for i in range(6))),
-                             ref, g, p, ideal_attitude=ideal)[0].as_tuple()
-        nxt = tuple(y[i] + (cfg.dt / 6.0)
-                    * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                    for i in range(6))
+        nxt = rk4_step(stage, t, state.as_tuple(), cfg.dt,
+                       k1=deriv.as_tuple())
         if not all(math.isfinite(v) for v in nxt):
             raise SimulationDiverged(f"non-finite state at t={t + cfg.dt}: {nxt}")
         state = FullState(*nxt)

@@ -1,5 +1,6 @@
 """Shared fixtures: default parameter bundle and cached reference-experiment runs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -75,8 +76,7 @@ def ideal_log(default_bundle):
 @pytest.fixture(scope="session")
 def no_rg_log(default_bundle):
     p, g, cfg = default_bundle
-    cfg_no_rg = tu.SimConfig(mode=tu.ScenarioMode.INNER_NO_RG,
-                             initial=cfg.initial, reference=cfg.reference)
+    cfg_no_rg = dataclasses.replace(cfg, mode=tu.ScenarioMode.INNER_NO_RG)
     return tu.run_scenario(cfg_no_rg, g, p)
 
 
@@ -89,8 +89,8 @@ def rg_bundle(default_bundle):
     cert, env, _ = _certificate(p, g, cfg, estimate=False)
     start = tu.Setpoint(cfg.initial.r, cfg.initial.alpha, cfg.initial.theta)
     plan = tu.backtrack_plan(start, cfg.reference, g, p, cert, env)
-    rg_cfg = tu.SimConfig(mode=tu.ScenarioMode.INNER_WITH_RG, t_final=30.0,
-                          initial=cfg.initial, reference=cfg.reference)
+    rg_cfg = dataclasses.replace(cfg, mode=tu.ScenarioMode.INNER_WITH_RG,
+                                 t_final=30.0)
     mission_env = mission_radial_envelope(
         cfg.initial.r, cfg.initial.r_dot,
         [w.sp.r_bar for w in plan.waypoints] + [cfg.initial.r], g)
@@ -112,27 +112,19 @@ def simulate_radial_batch(r0, rdot0, r_bar, g, t_final, dt=1e-3):
 
     Returns (r_history, rdot_history) with shape (steps+1, batch).
     """
-    r = np.asarray(r0, dtype=float).copy()
-    v = np.asarray(rdot0, dtype=float).copy()
+    y = (np.asarray(r0, dtype=float), np.asarray(rdot0, dtype=float))
     r_bar = np.asarray(r_bar, dtype=float)
 
-    def acc(rr, vv):
+    def radial(t, y):
+        rr, vv = y
         inner = np.clip(g.k_pr * (rr - r_bar), -g.lambda2, g.lambda2)
-        return -np.clip(g.k_dr * vv + inner, -g.lambda1, g.lambda1)
+        return vv, -np.clip(g.k_dr * vv + inner, -g.lambda1, g.lambda1)
 
     n = int(round(t_final / dt))
-    rs = np.empty((n + 1, r.size))
-    vs = np.empty((n + 1, r.size))
-    rs[0], vs[0] = r, v
+    rs = np.empty((n + 1, y[0].size))
+    vs = np.empty((n + 1, y[0].size))
+    rs[0], vs[0] = y
     for k in range(n):
-        a1 = acc(r, v)
-        r2, v2 = r + 0.5 * dt * v, v + 0.5 * dt * a1
-        a2 = acc(r2, v2)
-        r3, v3 = r + 0.5 * dt * v2, v + 0.5 * dt * a2
-        a3 = acc(r3, v3)
-        r4, v4 = r + dt * v3, v + dt * a3
-        a4 = acc(r4, v4)
-        r = r + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        rs[k + 1], vs[k + 1] = r, v
+        y = tu.rk4_step(radial, k * dt, y, dt)
+        rs[k + 1], vs[k + 1] = y
     return rs, vs

@@ -1,6 +1,7 @@
 """Config parsing, CSV emission, attainable-set sampling, subcommand exit codes."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ class TestParseConfig:
         assert cfg.mode is tu.ScenarioMode.IDEAL_ATTITUDE
         assert cfg.initial.alpha == pytest.approx(math.pi / 8.0)
         assert cfg.reference.alpha_bar == pytest.approx(9.0 * math.pi / 10.0)
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        default_cfg = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+        assert (parse_config("")
+                == (tu.PlantParams(), tu.GainConfig(), tu.SimConfig())
+                == parse_config(default_cfg.read_text(encoding="utf-8")))
+
+    def test_step_not_dividing_horizon_rejected(self):
+        with pytest.raises(ConfigError, match=r"dt=0\.003 .*t_final=10\.0"):
+            parse_config("dt = 0.003\nt_final = 10\n")
 
     def test_comments_and_overrides(self):
         text = """
@@ -173,6 +184,11 @@ class TestMain:
         code = cli.main(["simulate", "--config", str(cfg)])
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_simulate_step_not_dividing_horizon_exit_one(self, capsys):
+        code = cli.main(["simulate", "--dt", "0.003"])
+        assert code == 1
+        assert "t_final" in capsys.readouterr().err
 
     def test_plan_csv(self, tmp_path, capsys):
         code = cli.main(["plan", "--out", str(tmp_path)])

@@ -175,18 +175,14 @@ class TestInnerLoop:
         theta, theta_dot = 0.0, 0.0
         target = 0.5
         crossed = False
+
+        def attitude(t, y):
+            th, thd = y
+            return thd, -gains.k_pt * (th - target) - gains.k_dt * thd
+
         for k in range(4000):
-            def acc(th, thd):
-                return -gains.k_pt * (th - target) - gains.k_dt * thd
-            a1 = acc(theta, theta_dot)
-            t2, d2 = theta + 0.5 * dt * theta_dot, theta_dot + 0.5 * dt * a1
-            a2 = acc(t2, d2)
-            t3, d3 = theta + 0.5 * dt * d2, theta_dot + 0.5 * dt * a2
-            a3 = acc(t3, d3)
-            t4, d4 = theta + dt * d3, theta_dot + dt * a3
-            a4 = acc(t4, d4)
-            theta += dt / 6.0 * (theta_dot + 2 * d2 + 2 * d3 + d4)
-            theta_dot += dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4)
+            theta, theta_dot = tu.rk4_step(attitude, k * dt, (theta, theta_dot),
+                                           dt)
             if theta > target:
                 crossed = True
         assert crossed  # underdamped: at least one overshoot
@@ -264,26 +260,14 @@ def test_error_dynamics_equivalence(plant, gains, ref_setpoint, start_setpoint):
                   * math.cos(theta_err) + delta * a_dot + gamma)
         return a_dot, a_ddot
 
-    for _ in range(2000):
-        y = state.as_tuple()
+    def joint_rhs(t, y):
+        # full closed loop (first six entries) beside the reduced form
+        full_state = tu.FullState(*y[:6])
+        d = tu.closed_loop_rhs(full_state, ref_setpoint, gains, plant)[0]
+        return d.as_tuple() + reduced_rhs(y[6:], full_state)
 
-        def stage(sv, rv):
-            d = tu.closed_loop_rhs(sv, ref_setpoint, gains, plant)[0].as_tuple()
-            return d, reduced_rhs(rv, sv)
-
-        d1, r1 = stage(state, red)
-        s2 = tu.FullState(*(y[i] + 0.5 * dt * d1[i] for i in range(6)))
-        red2 = (red[0] + 0.5 * dt * r1[0], red[1] + 0.5 * dt * r1[1])
-        d2, r2 = stage(s2, red2)
-        s3 = tu.FullState(*(y[i] + 0.5 * dt * d2[i] for i in range(6)))
-        red3 = (red[0] + 0.5 * dt * r2[0], red[1] + 0.5 * dt * r2[1])
-        d3, r3 = stage(s3, red3)
-        s4 = tu.FullState(*(y[i] + dt * d3[i] for i in range(6)))
-        red4 = (red[0] + dt * r3[0], red[1] + dt * r3[1])
-        d4, r4 = stage(s4, red4)
-        state = tu.FullState(*(y[i] + dt / 6.0 * (d1[i] + 2 * d2[i] + 2 * d3[i] + d4[i])
-                               for i in range(6)))
-        red = tuple(red[j] + dt / 6.0 * (r1[j] + 2 * r2[j] + 2 * r3[j] + r4[j])
-                    for j in range(2))
-        max_dev = max(max_dev, abs(red[0] - (state.alpha - ref_setpoint.alpha_bar)))
+    y = state.as_tuple() + red
+    for k in range(2000):
+        y = tu.rk4_step(joint_rhs, k * dt, y, dt)
+        max_dev = max(max_dev, abs(y[6] - (y[2] - ref_setpoint.alpha_bar)))
     assert max_dev < 1e-6

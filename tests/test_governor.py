@@ -77,30 +77,6 @@ class TestBallRadii:
         with pytest.raises(InfeasibleRadiiError, match="small-gain"):
             tu.ball_radii(tu.Setpoint(1.0, 0.4, 0.2), gains, plant, broken, env)
 
-    def test_configured_torque_bound_shrinks_radii(self, plant, gains,
-                                                   default_certificate):
-        """A winch-torque norm above m*lambda1 tightens the tension budget."""
-        cert, env = default_certificate
-        sp = tu.Setpoint(1.0, 0.4, 0.2)
-        default_radii = tu.ball_radii(sp, gains, plant, cert, env)
-        strict = tu.ball_radii(sp, gains, plant, cert, env,
-                               u3_inf=10.0 * gains.lambda1)
-        assert strict[0] < default_radii[0]
-        assert strict[1] < default_radii[1]
-        # and matches the default when the configured norm equals m*lambda1 / m
-        same = tu.ball_radii(sp, gains, plant, cert, env, u3_inf=gains.lambda1)
-        assert same == default_radii
-
-    def test_split_interior_fraction_scales_radii(self, plant, gains,
-                                                  default_certificate):
-        cert, env = default_certificate
-        sp = tu.Setpoint(1.0, 0.4, 0.2)
-        tight = tu.ball_radii(sp, gains, plant, cert, env, split=0.3)
-        wide = tu.ball_radii(sp, gains, plant, cert, env, split=0.9)
-        assert wide[0] > tight[0] and wide[1] > tight[1]
-        with pytest.raises(ValueError, match="split"):
-            tu.ball_radii(sp, gains, plant, cert, env, split=1.0)
-
 
 class TestBacktrackPlan:
     def test_identity_plan(self, plant, gains, default_certificate):

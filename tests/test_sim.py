@@ -6,58 +6,70 @@ import numpy as np
 import pytest
 
 import tautuav as tu
+from tautuav import sim
 from tautuav.sim import SimEvents, SimulationDiverged
-
-
-def const_pitch_accel_rhs(c):
-    def rhs(state):
-        return tu.StateDerivative(0.0, 0.0, 0.0, 0.0, state.theta_dot, c)
-    return rhs
 
 
 class TestRK4:
     def test_fixed_point(self):
-        state = tu.FullState(1.0, 0.2, 0.5, -0.1, 0.3, 0.7)
-        zero = tu.StateDerivative(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        out = tu.rk4_step(state, lambda s: zero, 0.1)
-        assert out == state
+        y = (1.0, 0.2, 0.5, -0.1, 0.3, 0.7)
+        out = tu.rk4_step(lambda t, y: (0.0,) * 6, 0.0, y, 0.1)
+        assert out == y
 
     def test_polynomial_exactness(self):
         c = 2.5
         dt = 0.05
-        state = tu.FullState(1.0, 0.0, 0.5, 0.0, 0.3, 0.4)
-        out = tu.rk4_step(state, const_pitch_accel_rhs(c), dt)
-        assert out.theta_dot == pytest.approx(0.4 + c * dt, rel=1e-15)
-        assert out.theta == pytest.approx(0.3 + 0.4 * dt + 0.5 * c * dt * dt,
-                                          rel=1e-15)
+        out = tu.rk4_step(lambda t, y: (y[1], c), 0.0, (0.3, 0.4), dt)
+        assert out[1] == pytest.approx(0.4 + c * dt, rel=1e-15)
+        assert out[0] == pytest.approx(0.3 + 0.4 * dt + 0.5 * c * dt * dt,
+                                       rel=1e-15)
 
     def test_harmonic_oscillator_fourth_order(self):
-        def harmonic(state):
-            return tu.StateDerivative(0.0, 0.0, 0.0, 0.0,
-                                      state.theta_dot, -state.theta)
+        def harmonic(t, y):
+            return y[1], -y[0]
 
         def final_error(dt):
-            state = tu.FullState(1.0, 0.0, 0.5, 0.0, 1.0, 0.0)
+            y = (1.0, 0.0)
             n = int(round(2.0 * math.pi / dt))
-            for _ in range(n):
-                state = tu.rk4_step(state, harmonic, dt)
-            return math.hypot(state.theta - 1.0, state.theta_dot)
+            for k in range(n):
+                y = tu.rk4_step(harmonic, k * dt, y, dt)
+            return math.hypot(y[0] - 1.0, y[1])
 
         e1 = final_error(2.0 * math.pi / 100)
         e2 = final_error(2.0 * math.pi / 200)
         assert 12.0 < e1 / e2 < 20.0
 
-    def test_detects_divergence(self):
-        bad = tu.StateDerivative(0.0, math.inf, 0.0, 0.0, 0.0, 0.0)
-        state = tu.FullState(1.0, 0.0, 0.5, 0.0, 0.0, 0.0)
-        with pytest.raises(SimulationDiverged):
-            tu.rk4_step(state, lambda s: bad, 0.1)
-
     def test_rejects_nonpositive_step(self):
-        state = tu.FullState(1.0, 0.0, 0.5, 0.0, 0.0, 0.0)
-        zero = tu.StateDerivative(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            tu.rk4_step(state, lambda s: zero, 0.0)
+            tu.rk4_step(lambda t, y: (0.0,), 0.0, (1.0,), 0.0)
+
+    def test_batch_equals_scalar_steps_bit_for_bit(self):
+        """A tuple of (N,) arrays advances exactly as N scalar steps."""
+        def duffing(t, y):
+            x, v = y
+            return v, -0.3 * v - x - x * x * x + 0.7 * t
+
+        rng = np.random.default_rng(3)
+        batch = (rng.uniform(-2.0, 2.0, 64), rng.uniform(-2.0, 2.0, 64))
+        scalars = list(zip(batch[0].tolist(), batch[1].tolist()))
+        dt = 0.01
+        for k in range(100):
+            batch = tu.rk4_step(duffing, k * dt, batch, dt)
+            scalars = [tu.rk4_step(duffing, k * dt, y, dt) for y in scalars]
+        assert np.array_equal(batch[0], [y[0] for y in scalars])
+        assert np.array_equal(batch[1], [y[1] for y in scalars])
+
+    def test_reuses_given_first_stage(self):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (-y[0],)
+
+        y = (2.0,)
+        assert (tu.rk4_step(rhs, 0.0, y, 0.1, k1=rhs(0.0, y))
+                == tu.rk4_step(rhs, 0.0, y, 0.1))
+        assert calls == [0.0, 0.05, 0.05, 0.1, 0.0, 0.05, 0.05, 0.1]
 
 
 class TestScenarios:
@@ -123,6 +135,34 @@ class TestScenarios:
         with pytest.raises(ValueError, match="t_final"):
             tu.SimConfig(dt=0.1, t_final=0.05)
 
+    def test_rejects_step_that_does_not_divide_horizon(self):
+        with pytest.raises(ValueError, match=r"dt=0\.003 .*t_final=10\.0"):
+            tu.SimConfig(dt=0.003, t_final=10.0)
+        with pytest.raises(ValueError, match="t_final"):
+            tu.SimConfig(t_final=math.inf)
+        # float quotients such as 30/1e-3 = 29999.999999999996 pass
+        for t_final in (1.0, 1.5, 3.0, 4.0, 10.0, 30.0, 40.0, 120.0):
+            assert tu.SimConfig(dt=1e-3, t_final=t_final).t_final == t_final
+
+    def test_non_finite_rhs_raises_diverged_with_time(self, plant, gains,
+                                                      monkeypatch):
+        real_rhs = sim.closed_loop_rhs
+        calls = []
+
+        def blows_up(state, *args, **kwargs):
+            # four evaluations a step: call 402 is the second RK4 stage of
+            # the step from t = 0.100 to t = 0.101
+            calls.append(state)
+            if len(calls) < 402:
+                return real_rhs(state, *args, **kwargs)
+            return (tu.StateDerivative(*[math.nan] * 6), None, math.nan, None)
+
+        monkeypatch.setattr(sim, "closed_loop_rhs", blows_up)
+        cfg = tu.SimConfig(t_final=1.0, mode=tu.ScenarioMode.INNER_NO_RG)
+        with pytest.raises(SimulationDiverged,
+                           match=r"non-finite state at t=0\.101"):
+            tu.run_scenario(cfg, gains, plant)
+
 
 def test_free_fall_energy_conservation(plant):
     """Unforced flight with zero cable force conserves the vehicle energy.
@@ -132,26 +172,26 @@ def test_free_fall_energy_conservation(plant):
     must hold the mechanical energy of the simulated coordinates to 1e-6
     relative over one second.
     """
-    def free_fall(state):
-        r_ddot = state.r * state.alpha_dot ** 2 - plant.g * math.sin(state.alpha)
-        alpha_ddot = -(2.0 * state.r_dot * state.alpha_dot
-                       + plant.g * math.cos(state.alpha)) / state.r
-        return tu.StateDerivative(state.r_dot, r_ddot,
-                                  state.alpha_dot, alpha_ddot, 0.0, 0.0)
+    def free_fall(t, y):
+        r, r_dot, alpha, alpha_dot = y
+        r_ddot = r * alpha_dot ** 2 - plant.g * math.sin(alpha)
+        alpha_ddot = -(2.0 * r_dot * alpha_dot
+                       + plant.g * math.cos(alpha)) / r
+        return r_dot, r_ddot, alpha_dot, alpha_ddot
 
-    def energy(state):
-        kinetic = 0.5 * plant.m * (state.r_dot ** 2
-                                   + (state.r * state.alpha_dot) ** 2)
-        potential = plant.m * plant.g * state.r * math.sin(state.alpha)
+    def energy(y):
+        r, r_dot, alpha, alpha_dot = y
+        kinetic = 0.5 * plant.m * (r_dot ** 2 + (r * alpha_dot) ** 2)
+        potential = plant.m * plant.g * r * math.sin(alpha)
         return kinetic + potential
 
     # mostly tangential launch: the ballistic arc stays clear of the anchor
-    state = tu.FullState(1.0, 0.3, math.pi / 3.0, 2.0, 0.0, 0.0)
-    e0 = energy(state)
-    for _ in range(1000):
-        state = tu.rk4_step(state, free_fall, 1e-3)
-    assert state.r > 0.3
-    assert abs(energy(state) - e0) / abs(e0) < 1e-6
+    y = (1.0, 0.3, math.pi / 3.0, 2.0)
+    e0 = energy(y)
+    for k in range(1000):
+        y = tu.rk4_step(free_fall, k * 1e-3, y, 1e-3)
+    assert y[0] > 0.3
+    assert abs(energy(y) - e0) / abs(e0) < 1e-6
 
 
 class TestMonitor:
