@@ -27,9 +27,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import tautuav as tu
-from tautuav.analysis import mission_radial_envelope, radial_envelope
-from tautuav.cli import (_certificate_report, build_plan, emit_log,
-                         parse_config, plan_csv)
+from tautuav.cli import (_certificate_report, emit_log, parse_config, plan_csv,
+                         simulate)
 
 
 def main() -> int:
@@ -45,35 +44,15 @@ def main() -> int:
     text = Path(args.config).read_text() if args.config else ""
     p, g, base_cfg = parse_config(text)
 
-    runs = []
-    for mode in (tu.ScenarioMode.IDEAL_ATTITUDE, tu.ScenarioMode.INNER_NO_RG):
+    for mode in tu.ScenarioMode:
         cfg = dataclasses.replace(base_cfg, mode=mode)
+        if mode is tu.ScenarioMode.INNER_WITH_RG:
+            cfg = dataclasses.replace(cfg, t_final=args.t_final_rg)
         t0 = time.perf_counter()
-        log = tu.run_scenario(cfg, g, p)
-        env = radial_envelope(cfg.initial.r, cfg.initial.r_dot,
-                              cfg.reference.r_bar, g)
-        runs.append((mode, log, env, time.perf_counter() - t0))
-
-    rg_cfg = dataclasses.replace(base_cfg, mode=tu.ScenarioMode.INNER_WITH_RG,
-                                 t_final=args.t_final_rg)
-    plan, cert = build_plan(p, g, rg_cfg)
-    env_rg = mission_radial_envelope(
-        rg_cfg.initial.r, rg_cfg.initial.r_dot,
-        [w.sp.r_bar for w in plan.waypoints] + [rg_cfg.initial.r], g)
-    t0 = time.perf_counter()
-    log_rg = tu.run_scenario(rg_cfg, g, p, plan=plan)
-    runs.append((tu.ScenarioMode.INNER_WITH_RG, log_rg, env_rg,
-                 time.perf_counter() - t0))
-
-    (out / "plan.csv").write_text(plan_csv(plan))
-    report_text, _ = _certificate_report(p, g, rg_cfg, estimate=False)
-    (out / "certificate.txt").write_text(report_text)
-
-    for mode, log, env, elapsed in runs:
+        log, report, plan = simulate(p, g, cfg)
+        elapsed = time.perf_counter() - t0
         dest = out / f"trajectory_{mode.value}.csv"
         emit_log(log, dest)
-        report = tu.monitor_invariants(log, g, env, p,
-                                       tension_min=base_cfg.tension_min)
         print(f"== {mode.value} ({elapsed:.2f} s wall, {len(log)} rows)")
         print(f"   min T = {log.tension.min():.3f} N, "
               f"max T = {log.tension.max():.1f} N, "
@@ -82,8 +61,12 @@ def main() -> int:
         for line in report.render().splitlines():
             print(f"   {line}")
         print(f"   -> {dest}")
-    print(f"plan: {len(plan.waypoints)} waypoints -> {out / 'plan.csv'}")
-    print(f"certificate -> {out / 'certificate.txt'}")
+        if plan is not None:
+            (out / "plan.csv").write_text(plan_csv(plan))
+            report_text, _ = _certificate_report(p, g, cfg, estimate=False)
+            (out / "certificate.txt").write_text(report_text)
+            print(f"plan: {len(plan.waypoints)} waypoints -> {out / 'plan.csv'}")
+            print(f"certificate -> {out / 'certificate.txt'}")
     return 0
 
 

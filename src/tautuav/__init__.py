@@ -5,9 +5,9 @@ from .analysis import (GainCertificate, RadialEnvelope, gamma_in_bound,
                        gamma_in_l1, lambda1_bound, radial_envelope,
                        restriction_r, small_gain_certificate, theta_budget)
 from .control import ControlDiagnostics, GainConfig, closed_loop_rhs, saturate
-from .equilibria import (EquilibriumData, PathSpec, Setpoint,
-                         equilibrium_inputs, equilibrium_tension,
-                         interpolate_path, is_attainable, theta_limit)
+from .equilibria import (PathSpec, Setpoint, equilibrium_inputs,
+                         equilibrium_tension, interpolate_path, is_attainable,
+                         theta_limit)
 from .governor import (GovernorState, Waypoint, WaypointPlan, backtrack_plan,
                        ball_radii, governor_step, min_radii, switch_ready)
 from .plant import (ControlInputs, FullState, PlantParams, StateDerivative,
@@ -16,7 +16,7 @@ from .sim import (MonitorReport, ScenarioMode, SimConfig, TrajectoryLog,
                   monitor_invariants, run_scenario)
 
 __all__ = [
-    "ControlDiagnostics", "ControlInputs", "EquilibriumData", "FullState",
+    "ControlDiagnostics", "ControlInputs", "FullState",
     "GainCertificate", "GainConfig", "GovernorState", "MonitorReport",
     "PathSpec", "PlantParams", "RadialEnvelope", "ScenarioMode", "Setpoint",
     "SimConfig", "StateDerivative", "TrajectoryLog", "Waypoint",

@@ -38,8 +38,8 @@ from .analysis import mission_radial_envelope, radial_envelope
 from .control import GainConfig
 from .equilibria import Setpoint
 from .plant import FullState, PlantParams
-from .sim import (ScenarioMode, SimConfig, TrajectoryLog, monitor_invariants,
-                  run_scenario)
+from .sim import (MonitorReport, ScenarioMode, SimConfig, TrajectoryLog,
+                  monitor_invariants, run_scenario)
 
 
 class ConfigError(ValueError):
@@ -73,11 +73,6 @@ _FIELDS: dict[str, tuple[str, str]] = {
 def _parts(p: PlantParams, g: GainConfig, cfg: SimConfig) -> dict[str, object]:
     return {"plant": p, "gains": g, "sim": cfg, "initial": cfg.initial,
             "reference": cfg.reference}
-
-
-def _field(parts: dict[str, object], key: str):
-    part, attr = _FIELDS[key]
-    return getattr(parts[part], attr)
 
 
 def parse_value(text: str) -> float:
@@ -122,43 +117,19 @@ def _parse_pairs(text: str) -> dict[str, str]:
 def parse_config(text: str) -> tuple[PlantParams, GainConfig, SimConfig]:
     """Parse a flat config document into the validated parameter bundle."""
     pairs = _parse_pairs(text)
-    defaults = _parts(PlantParams(), GainConfig(), SimConfig())
-
-    def num(key: str) -> float:
-        if key in pairs:
-            return parse_value(pairs[key])
-        return _field(defaults, key)
+    defaults = SimConfig()
+    mode_text = pairs.pop("mode", defaults.mode.value)
+    given: dict[str, dict[str, float]] = {
+        part: {} for part, _ in _FIELDS.values()}
+    for key, value in pairs.items():
+        part, attr = _FIELDS[key]
+        given[part][attr] = parse_value(value)
 
     try:
-        plant = PlantParams(**{k: num(k) for k in _PLANT_KEYS})
+        plant = PlantParams(**given["plant"])
+        gains = GainConfig(**given["gains"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    zeta = num("zeta")
-    k_pr, k_pa, k_pt = num("k_pr"), num("k_pa"), num("k_pt")
-    eps = num("eps")
-    derived = {
-        "k_dr": 2.0 * math.sqrt(k_pr) if k_pr > 0 else -1.0,
-        "k_da": 2.0 * zeta * math.sqrt(k_pa) if k_pa > 0 else -1.0,
-        "k_dt": 2.0 * zeta * math.sqrt(k_pt) if k_pt > 0 else -1.0,
-        "hover_tension": equilibria.default_hover_tension(eps),
-    }
-    try:
-        gains = GainConfig(
-            k_pr=k_pr, k_pa=k_pa, k_pt=k_pt, zeta=zeta, eps=eps,
-            k_dr=parse_value(pairs["k_dr"]) if "k_dr" in pairs else derived["k_dr"],
-            k_da=parse_value(pairs["k_da"]) if "k_da" in pairs else derived["k_da"],
-            k_dt=parse_value(pairs["k_dt"]) if "k_dt" in pairs else derived["k_dt"],
-            lambda1=num("lambda1"), lambda2=num("lambda2"), nu=num("nu"),
-            theta_tilde_max=num("theta_tilde_max"), gamma_out=num("gamma_out"),
-            hover_tension=(parse_value(pairs["hover_tension"])
-                           if "hover_tension" in pairs
-                           else derived["hover_tension"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    mode_text = pairs.get("mode", _field(defaults, "mode").value)
     try:
         mode = ScenarioMode(mode_text)
     except ValueError:
@@ -166,17 +137,10 @@ def parse_config(text: str) -> tuple[PlantParams, GainConfig, SimConfig]:
         raise ConfigError(f"mode must be one of {valid}, got {mode_text!r}") from None
     try:
         initial = FullState.initial(
-            r=num("r0"), alpha=num("alpha0"), theta=num("theta0"),
-            r_dot=num("r_dot0"), alpha_dot=num("alpha_dot0"),
-            theta_dot=num("theta_dot0"))
-        reference = Setpoint(r_bar=num("r_bar"), alpha_bar=num("alpha_bar"),
-                             theta_bar=num("theta_bar"))
-        sim_cfg = SimConfig(
-            dt=num("dt"), t_final=num("t_final"), mode=mode,
-            initial=initial, reference=reference,
-            convergence_tol=num("convergence_tol"),
-            convergence_dwell=num("convergence_dwell"),
-            tension_min=num("tension_min"))
+            **{**dataclasses.asdict(defaults.initial), **given["initial"]})
+        reference = dataclasses.replace(defaults.reference, **given["reference"])
+        sim_cfg = SimConfig(**given["sim"], mode=mode, initial=initial,
+                            reference=reference)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not equilibria.is_attainable(reference, gains.eps, plant):
@@ -191,7 +155,8 @@ def emit_config(p: PlantParams, g: GainConfig, cfg: SimConfig) -> str:
     parts = _parts(p, g, cfg)
     lines = []
     for key in sorted(_FIELDS):
-        value = _field(parts, key)
+        part, attr = _FIELDS[key]
+        value = getattr(parts[part], attr)
         text = value.value if isinstance(value, ScenarioMode) else repr(value)
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
@@ -312,12 +277,13 @@ def _certificate_report(p: PlantParams, g: GainConfig, cfg: SimConfig,
     gin_bound = analysis.gamma_in_bound(g)
     radii = governor.ball_radii(cfg.reference, g, p, cert, env)
     floors = governor.min_radii(g, p, cert, env)
-    eq = equilibria.equilibrium_data(cfg.reference, p,
-                                     hover_tension=g.hover_tension)
+    t_bar = equilibria.equilibrium_tension(cfg.reference, p, g.hover_tension)
+    u1_bar = equilibria.equilibrium_inputs(cfg.reference, p,
+                                           g.hover_tension).u1
     overall = cert.small_gain_ok and budget_ok and lambda1_ok
     lines = [
-        f"reference_t_bar: {eq.t_bar:.6g}",
-        f"reference_u1_bar: {eq.u1_bar:.6g}",
+        f"reference_t_bar: {t_bar:.6g}",
+        f"reference_u1_bar: {u1_bar:.6g}",
         f"gamma_in_l1: {cert.gamma_in:.6g}",
         f"gamma_in_bound: {gin_bound:.6g}",
         f"gamma_in_slack: {gin_bound - cert.gamma_in:.6g}",
@@ -371,8 +337,14 @@ def build_plan(p: PlantParams, g: GainConfig, cfg: SimConfig,
     return plan, cert
 
 
-def _run_simulate(p: PlantParams, g: GainConfig, cfg: SimConfig,
-                  out_dir: str | None) -> int:
+def simulate(p: PlantParams, g: GainConfig, cfg: SimConfig
+             ) -> tuple[TrajectoryLog, MonitorReport,
+                        governor.WaypointPlan | None]:
+    """Fly one configured scenario and monitor it; returns (log, report, plan).
+
+    A governed run is planned first and monitored against the envelope of
+    every waypoint's radius; the plan is None for the other modes.
+    """
     if cfg.mode is ScenarioMode.INNER_WITH_RG:
         plan, _ = build_plan(p, g, cfg)
         env = mission_radial_envelope(
@@ -384,6 +356,12 @@ def _run_simulate(p: PlantParams, g: GainConfig, cfg: SimConfig,
                               cfg.reference.r_bar, g)
     log = run_scenario(cfg, g, p, plan=plan)
     report = monitor_invariants(log, g, env, p, tension_min=cfg.tension_min)
+    return log, report, plan
+
+
+def _run_simulate(p: PlantParams, g: GainConfig, cfg: SimConfig,
+                  out_dir: str | None) -> int:
+    log, report, _ = simulate(p, g, cfg)
     if out_dir is not None:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)

@@ -25,7 +25,7 @@ only the radial/elevation states evolve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import equilibria
 from .equilibria import Setpoint, default_hover_tension
@@ -43,35 +43,53 @@ class GainConfig:
 
     The derivative gains are tied to the stiffness gains: the radial loop is
     critically damped (``k_dr = 2*sqrt(k_pr)``) and the attitude loop uses
-    the shared damping ratio (``k_dt = 2*zeta*sqrt(k_pt)``).  ``gamma_out``
+    the shared damping ratio (``k_dt = 2*zeta*sqrt(k_pt)``).  A derivative
+    gain or ``hover_tension`` left as None is derived: the two above, the
+    elevation gain ``k_da = 2*zeta*sqrt(k_pa)`` (free when given) and the
+    hover tension ``default_hover_tension(eps)``.  ``gamma_out``
     is the outer-loop asymptotic gain used by certificates; it has no closed
     form and is either configured or estimated empirically.
     """
 
     k_pr: float = 30.0              # radial P gain [1/s^2]
-    k_dr: float = 2.0 * math.sqrt(30.0)   # radial D gain [1/s]
+    k_dr: float | None = None       # radial D gain [1/s]
     lambda1: float = 0.4            # outer radial saturation [m/s^2]
     lambda2: float = 2.0            # inner radial saturation [m/s^2]
     k_pa: float = 30.0              # elevation P gain [1/s^2]
-    k_da: float = 2.0 * 0.9 * math.sqrt(30.0)  # elevation D gain [1/s]
+    k_da: float | None = None       # elevation D gain [1/s]
     k_pt: float = 200.0             # attitude P gain [1/s^2]
-    k_dt: float = 2.0 * 0.9 * math.sqrt(200.0)  # attitude D gain [1/s]
+    k_dt: float | None = None       # attitude D gain [1/s]
     zeta: float = 0.9               # damping ratio shared by the PD loops [-]
     eps: float = 1.0                # tension margin defining the usable setpoint set [N]
     nu: float = 0.5                 # interior fraction for the rate restriction [-]
     theta_tilde_max: float = 0.8    # attitude-error budget [rad]
     gamma_out: float = 2.0          # configured outer asymptotic gain [-]
-    hover_tension: float = field(default=2.0)  # tension choice at vertical hover [N]
+    hover_tension: float | None = None  # tension choice at vertical hover [N]
 
     def __post_init__(self) -> None:
-        positive = ("k_pr", "k_dr", "lambda1", "lambda2", "k_pa", "k_da",
-                    "k_pt", "k_dt", "hover_tension")
-        for name in positive:
+        # the derived gains take square roots of these, so check them first
+        for name in ("k_pr", "k_pa", "k_pt"):
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
         if not 0.0 < self.zeta < 1.0:
             raise ValueError(f"zeta must lie in (0, 1), got {self.zeta}")
+        if self.k_dr is None:
+            object.__setattr__(self, "k_dr", 2.0 * math.sqrt(self.k_pr))
+        if self.k_da is None:
+            object.__setattr__(self, "k_da",
+                               2.0 * self.zeta * math.sqrt(self.k_pa))
+        if self.k_dt is None:
+            object.__setattr__(self, "k_dt",
+                               2.0 * self.zeta * math.sqrt(self.k_pt))
+        if self.hover_tension is None:
+            object.__setattr__(self, "hover_tension",
+                               default_hover_tension(self.eps))
+        for name in ("k_dr", "lambda1", "lambda2", "k_da", "k_dt",
+                     "hover_tension"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if not 0.0 < self.nu < 1.0:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if not 0.0 < self.theta_tilde_max < math.pi / 2.0:
@@ -92,33 +110,6 @@ class GainConfig:
                             rel_tol=1e-9, abs_tol=1e-12):
             raise ValueError("k_dt must equal 2*zeta*sqrt(k_pt), "
                              f"got k_dt={self.k_dt}")
-
-    @classmethod
-    def from_primary(cls, k_pr: float = 30.0, k_pa: float = 30.0,
-                     k_pt: float = 200.0, zeta: float = 0.9,
-                     lambda1: float = 0.4, lambda2: float = 2.0,
-                     eps: float = 1.0, nu: float = 0.5,
-                     theta_tilde_max: float = 0.8, gamma_out: float = 2.0,
-                     hover_tension: float | None = None,
-                     k_da: float | None = None) -> "GainConfig":
-        """Build a config from stiffness gains, deriving the derivative gains."""
-        return cls(
-            k_pr=k_pr,
-            k_dr=2.0 * math.sqrt(k_pr),
-            lambda1=lambda1,
-            lambda2=lambda2,
-            k_pa=k_pa,
-            k_da=2.0 * zeta * math.sqrt(k_pa) if k_da is None else k_da,
-            k_pt=k_pt,
-            k_dt=2.0 * zeta * math.sqrt(k_pt),
-            zeta=zeta,
-            eps=eps,
-            nu=nu,
-            theta_tilde_max=theta_tilde_max,
-            gamma_out=gamma_out,
-            hover_tension=(default_hover_tension(eps) if hover_tension is None
-                           else hover_tension),
-        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -63,14 +63,6 @@ class Setpoint:
 
 
 @dataclass(frozen=True, slots=True)
-class EquilibriumData:
-    """Derived equilibrium quantities: cable tension t_bar [N], thrust u1_bar [N]."""
-
-    t_bar: float
-    u1_bar: float
-
-
-@dataclass(frozen=True, slots=True)
 class PathSpec:
     """Piecewise-linear chain of setpoints, one or two linearly interpolated segments."""
 
@@ -87,7 +79,7 @@ class PathSpec:
 
 
 def default_hover_tension(eps: float) -> float:
-    """Vertical-hover tension choice: twice the margin, floored at 1 N."""
+    """Vertical-hover tension choice: twice the margin, or 1 N at zero margin."""
     return 2.0 * eps if eps > 0.0 else 1.0
 
 
@@ -159,15 +151,6 @@ def equilibrium_inputs(sp: Setpoint, p: PlantParams,
                 "thrust is undefined for alpha_bar + theta_bar = +/- pi/2")
         u1 = p.m * p.g * math.cos(sp.alpha_bar) / c
     return ControlInputs(u1=u1, u2=0.0, u3=-p.rho * t_bar)
-
-
-def equilibrium_data(sp: Setpoint, p: PlantParams,
-                     hover_tension: float | None = None) -> EquilibriumData:
-    """Bundle of the derived equilibrium tension and thrust."""
-    return EquilibriumData(
-        t_bar=equilibrium_tension(sp, p, hover_tension),
-        u1_bar=equilibrium_inputs(sp, p, hover_tension).u1,
-    )
 
 
 def interpolate_setpoint(a: Setpoint, b: Setpoint, lam: float) -> Setpoint:

@@ -165,14 +165,12 @@ def resolve_taut_coupling(state: FullState, u: ControlInputs,
         r_ddot * (1 + m*rho^2/I) = (rho/I)*u3 + (rho^2/I) * c
         T = c - m*r_ddot
 
-    with ``c`` collecting the acceleration-free tension terms.  Returns
+    with ``c`` the tension at zero radial acceleration.  Returns
     ``(r_ddot, tension)``.
     """
     if not state.r > 0.0:
         raise ValueError(f"taut model requires r > 0, got r={state.r}")
-    c = (p.m * state.r * state.alpha_dot ** 2
-         - p.m * p.g * math.sin(state.alpha)
-         + u.u1 * math.sin(state.alpha + state.theta))
+    c = tension(state, u.u1, 0.0, p)
     scale = 1.0 + p.m * p.rho ** 2 / p.i_winch
     r_ddot = ((p.rho / p.i_winch) * u.u3 + (p.rho ** 2 / p.i_winch) * c) / scale
     return r_ddot, c - p.m * r_ddot

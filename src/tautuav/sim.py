@@ -65,16 +65,18 @@ class SimConfig:
         if not self.dt < self.t_final < math.inf:
             raise ValueError(f"t_final must be finite and exceed dt, "
                              f"got {self.t_final}")
-        if not math.isclose(round(self.t_final / self.dt) * self.dt,
-                            self.t_final, rel_tol=1e-9):
-            raise ValueError(f"dt={self.dt} does not divide "
-                             f"t_final={self.t_final} into whole steps")
         if not self.convergence_tol > 0.0:
             raise ValueError(f"convergence_tol must be positive, "
                              f"got {self.convergence_tol}")
-        if self.convergence_dwell < 0.0:
-            raise ValueError(f"convergence_dwell must be non-negative, "
-                             f"got {self.convergence_dwell}")
+        if not 0.0 <= self.convergence_dwell < math.inf:
+            raise ValueError(f"convergence_dwell must be finite and "
+                             f"non-negative, got {self.convergence_dwell}")
+        for name in ("t_final", "convergence_dwell"):
+            value = getattr(self, name)
+            if not math.isclose(round(value / self.dt) * self.dt, value,
+                                rel_tol=1e-9):
+                raise ValueError(f"dt={self.dt} does not divide "
+                                 f"{name}={value} into whole steps")
 
 
 @dataclass(frozen=True)

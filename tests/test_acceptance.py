@@ -127,7 +127,7 @@ def test_criterion_06_gain_analysis(bundle):
     min_slack = math.inf
     for zeta in np.linspace(0.1, 0.99, 10):
         for k_pt in np.linspace(2.0, 1000.0, 10):
-            gi = tu.GainConfig.from_primary(k_pt=float(k_pt), zeta=float(zeta))
+            gi = tu.GainConfig(k_pt=float(k_pt), zeta=float(zeta))
             slack = tu.gamma_in_bound(gi) - tu.gamma_in_l1(gi)
             min_slack = min(min_slack, slack)
             grid_ok &= slack >= 0.0

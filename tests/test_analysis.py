@@ -78,17 +78,17 @@ class TestRadialEnvelope:
 
 class TestRestrictionAndBudget:
     def test_restriction_value(self):
-        g = tu.GainConfig.from_primary(k_da=9.859, theta_tilde_max=0.5, nu=0.5)
+        g = tu.GainConfig(k_da=9.859, theta_tilde_max=0.5, nu=0.5)
         assert tu.restriction_r(g) == pytest.approx(17.669227953310603, rel=1e-12)
 
     def test_restriction_linear_in_nu(self):
-        g1 = tu.GainConfig.from_primary(nu=0.2, theta_tilde_max=0.7)
-        g2 = tu.GainConfig.from_primary(nu=0.4, theta_tilde_max=0.7)
+        g1 = tu.GainConfig(nu=0.2, theta_tilde_max=0.7)
+        g2 = tu.GainConfig(nu=0.4, theta_tilde_max=0.7)
         assert tu.restriction_r(g2) == pytest.approx(2.0 * tu.restriction_r(g1),
                                                      rel=1e-12)
 
     def test_restriction_decreasing_in_budget(self):
-        values = [tu.restriction_r(tu.GainConfig.from_primary(theta_tilde_max=t))
+        values = [tu.restriction_r(tu.GainConfig(theta_tilde_max=t))
                   for t in (0.3, 0.6, 0.9, 1.2, 1.5)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -132,19 +132,19 @@ class TestRestrictionAndBudget:
 
 class TestInnerGain:
     def test_bound_reference_value(self):
-        g = tu.GainConfig.from_primary(k_pt=200.0, zeta=0.9)
+        g = tu.GainConfig(k_pt=200.0, zeta=0.9)
         assert tu.gamma_in_bound(g) == pytest.approx(0.07856742013183861, rel=1e-12)
 
     def test_bound_inverse_square_root(self):
-        g1 = tu.GainConfig.from_primary(k_pt=100.0, zeta=0.8)
-        g2 = tu.GainConfig.from_primary(k_pt=400.0, zeta=0.8)
+        g1 = tu.GainConfig(k_pt=100.0, zeta=0.8)
+        g2 = tu.GainConfig(k_pt=400.0, zeta=0.8)
         assert tu.gamma_in_bound(g2) == pytest.approx(tu.gamma_in_bound(g1) / 2.0,
                                                       rel=1e-12)
 
     def test_l1_matches_total_variation_oracle(self):
         for zeta in (0.3, 0.6, 0.9, 0.99):
             for k_pt in (10.0, 200.0, 900.0):
-                g = tu.GainConfig.from_primary(k_pt=k_pt, zeta=zeta)
+                g = tu.GainConfig(k_pt=k_pt, zeta=zeta)
                 quad = tu.gamma_in_l1(g)
                 assert quad == pytest.approx(tv_gamma_in(zeta, k_pt),
                                              rel=1e-5, abs=1e-9)
@@ -152,18 +152,18 @@ class TestInnerGain:
     def test_l1_below_bound_small_grid(self):
         for zeta in (0.2, 0.5, 0.8, 0.99):
             for k_pt in (2.0, 50.0, 1000.0):
-                g = tu.GainConfig.from_primary(k_pt=k_pt, zeta=zeta)
+                g = tu.GainConfig(k_pt=k_pt, zeta=zeta)
                 assert tu.gamma_in_bound(g) - tu.gamma_in_l1(g) >= 0.0
 
     def test_l1_near_critical_damping_stays_bounded(self):
-        g = tu.GainConfig.from_primary(k_pt=200.0, zeta=0.99)
+        g = tu.GainConfig(k_pt=200.0, zeta=0.99)
         q = math.sqrt(200.0)
         assert tu.gamma_in_l1(g) <= 1.0 / (0.99 * q) + 1e-6
 
     def test_l1_time_scaling(self):
         # quadrupling the stiffness halves the time scale and the norm
-        g1 = tu.GainConfig.from_primary(k_pt=100.0, zeta=0.6)
-        g2 = tu.GainConfig.from_primary(k_pt=400.0, zeta=0.6)
+        g1 = tu.GainConfig(k_pt=100.0, zeta=0.6)
+        g2 = tu.GainConfig(k_pt=400.0, zeta=0.6)
         assert tu.gamma_in_l1(g2) == pytest.approx(tu.gamma_in_l1(g1) / 2.0,
                                                    rel=1e-6)
 

@@ -54,6 +54,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"dt=0\.003 .*t_final=10\.0"):
             parse_config("dt = 0.003\nt_final = 10\n")
 
+    def test_dwell_not_whole_steps_rejected(self):
+        with pytest.raises(ConfigError,
+                           match=r"dt=0\.002 .*convergence_dwell=0\.003"):
+            parse_config("dt = 0.002\nconvergence_dwell = 0.003\n")
+
     def test_comments_and_overrides(self):
         text = """
         # plant

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import tautuav as tu
 from tautuav import analysis, control
+from tautuav.cli import ConfigError, parse_config
 from tautuav.control import PreconditionError
 
 from conftest import sample_attainable
@@ -42,16 +43,27 @@ class TestGainConfig:
         assert g.k_dr == pytest.approx(2.0 * math.sqrt(g.k_pr))
         assert g.k_dt == pytest.approx(2.0 * g.zeta * math.sqrt(g.k_pt))
 
-    def test_from_primary_derives_damping(self):
-        g = tu.GainConfig.from_primary(k_pr=20.0, k_pa=15.0, k_pt=150.0, zeta=0.7,
-                                       lambda1=0.3, lambda2=1.0)
+    def test_derives_damping_gains_and_hover_tension(self):
+        g = tu.GainConfig(k_pr=20.0, k_pa=15.0, k_pt=150.0, zeta=0.7,
+                          lambda1=0.3, lambda2=1.0)
         assert g.k_dr == pytest.approx(2.0 * math.sqrt(20.0))
         assert g.k_da == pytest.approx(2.0 * 0.7 * math.sqrt(15.0))
         assert g.k_dt == pytest.approx(2.0 * 0.7 * math.sqrt(150.0))
+        # a stiffness gain or zeta alone re-derives the gains tied to it
+        g = tu.GainConfig(k_pr=50.0, zeta=0.7)
+        assert g.k_dr == pytest.approx(2.0 * math.sqrt(50.0))
+        assert g.k_da == pytest.approx(2.0 * 0.7 * math.sqrt(30.0))
+        assert g.k_dt == pytest.approx(2.0 * 0.7 * math.sqrt(200.0))
+        # the hover tension follows eps, as the config parser's does
+        g = tu.GainConfig(eps=0.5)
+        assert g.hover_tension == 1.0
+        assert g == parse_config("eps = 0.5")[1]
+        with pytest.raises(ConfigError, match="zeta"):
+            parse_config("zeta = -0.5")
 
     def test_rejects_bad_zeta(self):
         with pytest.raises(ValueError, match="zeta"):
-            tu.GainConfig.from_primary(zeta=1.2)
+            tu.GainConfig(zeta=1.2)
 
     def test_rejects_untied_radial_damping(self):
         with pytest.raises(ValueError, match="k_dr"):
@@ -59,7 +71,7 @@ class TestGainConfig:
 
     def test_rejects_saturation_ordering(self):
         with pytest.raises(ValueError, match="lambda2"):
-            tu.GainConfig.from_primary(lambda1=2.0, lambda2=1.0)
+            tu.GainConfig(lambda1=2.0, lambda2=1.0)
 
 
 class TestGroundControl:
@@ -151,7 +163,7 @@ class TestOuterLoop:
                 diag.u_t, abs=1e-10 * max(1.0, abs(diag.u_t)))
 
     def test_precondition_violation_raises(self, plant):
-        g = tu.GainConfig.from_primary(lambda1=1.75, lambda2=3.0)  # t_bar/m = 1.722
+        g = tu.GainConfig(lambda1=1.75, lambda2=3.0)  # t_bar/m = 1.722
         sp = tu.Setpoint(0.5, 9.0 * math.pi / 10.0, -math.pi / 20.0)
         state = tu.FullState(0.5, 0.0, sp.alpha_bar, 0.0, sp.theta_bar, 0.0)
         with pytest.raises(PreconditionError, match="lambda1"):
@@ -165,7 +177,7 @@ class TestInnerLoop:
 
     def test_proportional_torque_value(self):
         p = tu.PlantParams(j_uav=0.015)
-        g = tu.GainConfig.from_primary(k_pt=200.0, zeta=0.9)
+        g = tu.GainConfig(k_pt=200.0, zeta=0.9)
         state = tu.FullState(1.0, 0.0, 0.5, 0.0, 0.1, 0.0)
         # torque = -J * k_pt * theta_err = -0.015 * 200 * 0.1
         assert control.inner_loop(state, 0.0, g, p) == pytest.approx(-0.3, rel=1e-12)

@@ -58,14 +58,14 @@ class TestBallRadii:
 
     def test_min_radii_requires_positive_margin(self, plant, default_certificate):
         cert, env = default_certificate
-        g0 = tu.GainConfig.from_primary(eps=0.0, hover_tension=1.0)
+        g0 = tu.GainConfig(eps=0.0, hover_tension=1.0)
         with pytest.raises(InfeasibleRadiiError, match="eps"):
             tu.min_radii(g0, plant, cert, env)
 
     def test_min_radii_monotone_in_margin(self, plant, default_certificate):
         cert, env = default_certificate
-        r1 = tu.min_radii(tu.GainConfig.from_primary(eps=0.5), plant, cert, env)
-        r2 = tu.min_radii(tu.GainConfig.from_primary(eps=1.5), plant, cert, env)
+        r1 = tu.min_radii(tu.GainConfig(eps=0.5), plant, cert, env)
+        r2 = tu.min_radii(tu.GainConfig(eps=1.5), plant, cert, env)
         assert r2[0] >= r1[0] and r2[1] >= r1[1]
 
     def test_requires_established_certificate(self, plant, gains,

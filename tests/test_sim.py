@@ -144,6 +144,15 @@ class TestScenarios:
         for t_final in (1.0, 1.5, 3.0, 4.0, 10.0, 30.0, 40.0, 120.0):
             assert tu.SimConfig(dt=1e-3, t_final=t_final).t_final == t_final
 
+    def test_rejects_dwell_that_is_not_whole_steps(self):
+        with pytest.raises(ValueError,
+                           match=r"dt=0\.001 .*convergence_dwell=0\.0015"):
+            tu.SimConfig(convergence_dwell=0.0015)
+        with pytest.raises(ValueError, match="convergence_dwell must be finite"):
+            tu.SimConfig(convergence_dwell=math.inf)
+        for dwell in (0.0, 0.002, 0.5):
+            assert tu.SimConfig(convergence_dwell=dwell).convergence_dwell == dwell
+
     def test_non_finite_rhs_raises_diverged_with_time(self, plant, gains,
                                                       monkeypatch):
         real_rhs = sim.closed_loop_rhs
