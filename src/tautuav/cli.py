@@ -70,6 +70,11 @@ _FIELDS: dict[str, tuple[str, str]] = {
 }
 
 
+# gains GainConfig derives -> their formula; a configured value must match it
+_TIED = {"k_dr": "2*sqrt(k_pr) (critically damped radial loop)",
+         "k_dt": "2*zeta*sqrt(k_pt)"}
+
+
 def _parts(p: PlantParams, g: GainConfig, cfg: SimConfig) -> dict[str, object]:
     return {"plant": p, "gains": g, "sim": cfg, "initial": cfg.initial,
             "reference": cfg.reference}
@@ -125,11 +130,17 @@ def parse_config(text: str) -> tuple[PlantParams, GainConfig, SimConfig]:
         part, attr = _FIELDS[key]
         given[part][attr] = parse_value(value)
 
+    tied = {k: given["gains"].pop(k) for k in _TIED if k in given["gains"]}
     try:
         plant = PlantParams(**given["plant"])
         gains = GainConfig(**given["gains"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    for key, value in tied.items():
+        if not math.isclose(value, getattr(gains, key), rel_tol=1e-9,
+                            abs_tol=1e-12):
+            raise ConfigError(f"{key} must equal {_TIED[key]}, "
+                              f"got {key}={value}")
     try:
         mode = ScenarioMode(mode_text)
     except ValueError:
@@ -243,8 +254,7 @@ def _initial_error_norms(p: PlantParams, g: GainConfig,
                          cfg: SimConfig) -> tuple[float, float]:
     state = cfg.initial
     ref = cfg.reference
-    r_ddot = control.radial_acceleration(state.r, state.r_dot, ref.r_bar, g)
-    _, theta_c, _ = control.outer_loop(state, ref, r_ddot, g, p)
+    theta_c = control.closed_loop(ref, g, p)(state.as_tuple())[5]
     x_alpha = math.hypot(state.alpha - ref.alpha_bar, state.alpha_dot)
     x_theta = math.hypot(state.theta - theta_c, state.theta_dot)
     return x_alpha, x_theta

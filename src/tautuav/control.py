@@ -16,21 +16,21 @@ Three loops cooperate:
   acts on the measured pitch rate so the feedback path never needs the
   commanded pitch rate.
 
-``closed_loop_rhs`` composes the three into the full state derivative and
-also reports the applied inputs and the resulting cable tension.  In
-ideal-attitude mode the pitch is assumed to equal its command instantly and
-only the radial/elevation states evolve.
+``closed_loop`` composes the three, per setpoint, into one kernel on plain
+floats.  ``radial_acceleration`` and ``ground_control`` with
+:func:`tautuav.plant.taut_rhs` state the laws one at a time: the reference
+the kernel is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from . import equilibria
-from .equilibria import Setpoint, default_hover_tension
-from .plant import (ControlInputs, FullState, PlantParams, StateDerivative,
-                    elevation_acceleration, tension)
+from .equilibria import HALF_PI, Setpoint, default_hover_tension
+from .plant import FullState, PlantParams
 
 
 class PreconditionError(ValueError):
@@ -41,24 +41,22 @@ class PreconditionError(ValueError):
 class GainConfig:
     """Controller gains, saturation levels, and certification knobs.
 
-    The derivative gains are tied to the stiffness gains: the radial loop is
-    critically damped (``k_dr = 2*sqrt(k_pr)``) and the attitude loop uses
-    the shared damping ratio (``k_dt = 2*zeta*sqrt(k_pt)``).  A derivative
-    gain or ``hover_tension`` left as None is derived: the two above, the
-    elevation gain ``k_da = 2*zeta*sqrt(k_pa)`` (free when given) and the
-    hover tension ``default_hover_tension(eps)``.  ``gamma_out``
-    is the outer-loop asymptotic gain used by certificates; it has no closed
-    form and is either configured or estimated empirically.
+    The derivative gains ``k_dr`` and ``k_dt`` are tied to the stiffness
+    gains, so they are properties, not fields: the radial loop is critically
+    damped (``k_dr = 2*sqrt(k_pr)``) and the attitude loop uses the shared
+    damping ratio (``k_dt = 2*zeta*sqrt(k_pt)``).  ``k_da`` and
+    ``hover_tension`` are free; left as None they are derived, as
+    ``k_da = 2*zeta*sqrt(k_pa)`` and ``default_hover_tension(eps)``.
+    ``gamma_out`` is the outer-loop asymptotic gain used by certificates; it
+    has no closed form and is either configured or estimated empirically.
     """
 
     k_pr: float = 30.0              # radial P gain [1/s^2]
-    k_dr: float | None = None       # radial D gain [1/s]
     lambda1: float = 0.4            # outer radial saturation [m/s^2]
     lambda2: float = 2.0            # inner radial saturation [m/s^2]
     k_pa: float = 30.0              # elevation P gain [1/s^2]
     k_da: float | None = None       # elevation D gain [1/s]
     k_pt: float = 200.0             # attitude P gain [1/s^2]
-    k_dt: float | None = None       # attitude D gain [1/s]
     zeta: float = 0.9               # damping ratio shared by the PD loops [-]
     eps: float = 1.0                # tension margin defining the usable setpoint set [N]
     nu: float = 0.5                 # interior fraction for the rate restriction [-]
@@ -74,19 +72,13 @@ class GainConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if not 0.0 < self.zeta < 1.0:
             raise ValueError(f"zeta must lie in (0, 1), got {self.zeta}")
-        if self.k_dr is None:
-            object.__setattr__(self, "k_dr", 2.0 * math.sqrt(self.k_pr))
         if self.k_da is None:
             object.__setattr__(self, "k_da",
                                2.0 * self.zeta * math.sqrt(self.k_pa))
-        if self.k_dt is None:
-            object.__setattr__(self, "k_dt",
-                               2.0 * self.zeta * math.sqrt(self.k_pt))
         if self.hover_tension is None:
             object.__setattr__(self, "hover_tension",
                                default_hover_tension(self.eps))
-        for name in ("k_dr", "lambda1", "lambda2", "k_da", "k_dt",
-                     "hover_tension"):
+        for name in ("lambda1", "lambda2", "k_da", "hover_tension"):
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -102,24 +94,16 @@ class GainConfig:
             raise ValueError(f"eps must be non-negative, got {self.eps}")
         if self.gamma_out < 0.0:
             raise ValueError(f"gamma_out must be non-negative, got {self.gamma_out}")
-        if not math.isclose(self.k_dr, 2.0 * math.sqrt(self.k_pr),
-                            rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError("k_dr must equal 2*sqrt(k_pr) (critically damped "
-                             f"radial loop), got k_dr={self.k_dr}")
-        if not math.isclose(self.k_dt, 2.0 * self.zeta * math.sqrt(self.k_pt),
-                            rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError("k_dt must equal 2*zeta*sqrt(k_pt), "
-                             f"got k_dt={self.k_dt}")
 
+    @property
+    def k_dr(self) -> float:
+        """Radial D gain [1/s]: critically damped, ``2*sqrt(k_pr)``."""
+        return 2.0 * math.sqrt(self.k_pr)
 
-@dataclass(frozen=True, slots=True)
-class ControlDiagnostics:
-    """Outer-loop channel decomposition: u1 reconstructs as hypot(u_t, u_alpha)."""
-
-    u_t: float          # tension-channel command [N]
-    u_alpha: float      # elevation-channel command [N]
-    theta_c: float      # commanded pitch [rad]
-    t_predicted: float  # tension prediction for exact pitch tracking [N]
+    @property
+    def k_dt(self) -> float:
+        """Attitude D gain [1/s]: ``2*zeta*sqrt(k_pt)``."""
+        return 2.0 * self.zeta * math.sqrt(self.k_pt)
 
 
 def saturate(x: float, level: float) -> float:
@@ -150,77 +134,71 @@ def ground_control(state: FullState, r_bar: float, tension_value: float,
             - p.rho * tension_value)
 
 
-def outer_loop(state: FullState, sp: Setpoint, r_ddot: float,
-               g: GainConfig, p: PlantParams
-               ) -> tuple[float, float, ControlDiagnostics]:
-    """Thrust-vectoring elevation controller.
+def closed_loop(sp: Setpoint, g: GainConfig, p: PlantParams,
+                ideal_attitude: bool = False
+                ) -> Callable[[Sequence[float]], tuple]:
+    """Closed-loop right-hand side of the cascade controller at setpoint ``sp``.
 
-    Returns ``(u1, theta_c, diagnostics)``.  Requires
-    ``lambda1 < t_bar / m`` so the tension channel stays positive for every
-    admissible radial acceleration; then the channel recombination
-    ``atan2(u_alpha, u_t)`` is never evaluated at the origin.
+    Checks the outer loop's precondition ``lambda1 < t_bar/m`` (the tension
+    channel then stays positive, so ``atan2(u_alpha, u_t)`` is never taken
+    at the origin) and returns ``rhs(y)``, mapping the state as six floats
+    to ``(derivative 6-tuple, u1, u2, u3, tension, theta_c)``.  The radial
+    acceleration is the exact saturated value the winch law realises.  With
+    ``ideal_attitude`` the pitch is pinned to its command: only the radial
+    and elevation entries of the derivative are meaningful and the tension
+    is ``t_bar + m*r*alpha_dot**2``.
+
+    Bit-identity rule: the same float operations in the same order as the
+    reference formulas, sharing only common subexpressions.  A regrouped
+    sum drifts by ~1e-14, enough to move a governor switch by a step.
     """
     t_bar = equilibria.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
     if not g.lambda1 < t_bar / p.m:
         raise PreconditionError(
             f"outer loop requires lambda1 < t_bar/m, got lambda1={g.lambda1} "
             f"with t_bar={t_bar}, m={p.m}")
-    sin_a = math.sin(state.alpha)
-    cos_a = math.cos(state.alpha)
-    u_t = t_bar + p.m * p.g * sin_a + p.m * r_ddot
-    u_alpha = (p.m * (2.0 * state.r_dot * state.alpha_dot + p.g * cos_a)
-               - p.m * state.r * (g.k_pa * (state.alpha - sp.alpha_bar)
-                                  + g.k_da * state.alpha_dot))
-    u1 = math.hypot(u_t, u_alpha)
-    theta_c = math.pi / 2.0 - state.alpha - math.atan2(u_alpha, u_t)
-    diag = ControlDiagnostics(
-        u_t=u_t,
-        u_alpha=u_alpha,
-        theta_c=theta_c,
-        t_predicted=t_bar + p.m * state.r * state.alpha_dot ** 2,
-    )
-    return u1, theta_c, diag
+    r_bar, alpha_bar = sp.r_bar, sp.alpha_bar
+    k_pr, k_dr, lambda1, lambda2 = g.k_pr, g.k_dr, g.lambda1, g.lambda2
+    k_pa, k_da, k_pt, k_dt = g.k_pa, g.k_da, g.k_pt, g.k_dt
+    m, grav, j_uav, rho = p.m, p.g, p.j_uav, p.rho
+    mg = m * grav
+    winch = p.i_winch / rho
+    sin, cos, atan2, hypot, copysign = (math.sin, math.cos, math.atan2,
+                                        math.hypot, math.copysign)
 
+    def rhs(y: Sequence[float]) -> tuple:
+        r, r_dot, alpha, alpha_dot, theta, theta_dot = y
+        if not r > 0.0:
+            raise ValueError(f"taut model requires r > 0, got r={r}")
+        # nested saturation; `lam if lam < a else a` is min(a, lam) exactly
+        x = k_pr * (r - r_bar)
+        a = abs(x)
+        x = k_dr * r_dot + copysign(lambda2 if lambda2 < a else a, x)
+        a = abs(x)
+        r_ddot = -copysign(lambda1 if lambda1 < a else a, x)
+        # thrust vectoring: tension channel u_t, elevation channel u_alpha
+        sin_a = sin(alpha)
+        mr = m * r
+        coriolis = 2.0 * r_dot * alpha_dot + grav * cos(alpha)
+        u_t = t_bar + mg * sin_a + m * r_ddot
+        u_alpha = (m * coriolis
+                   - mr * (k_pa * (alpha - alpha_bar) + k_da * alpha_dot))
+        u1 = hypot(u_t, u_alpha)
+        theta_c = HALF_PI - alpha - atan2(u_alpha, u_t)
+        if ideal_attitude:
+            u2 = 0.0
+            tension = t_bar + mr * alpha_dot ** 2
+            deriv = (r_dot, r_ddot, alpha_dot,
+                     -k_pa * (alpha - alpha_bar) - k_da * alpha_dot, 0.0, 0.0)
+        else:
+            # PD attitude torque, damping on the measured pitch rate
+            u2 = -j_uav * (k_pt * (theta - theta_c) + k_dt * theta_dot)
+            heading = alpha + theta
+            tension = (mr * alpha_dot ** 2 - mg * sin_a
+                       + u1 * sin(heading) - m * r_ddot)
+            deriv = (r_dot, r_ddot, alpha_dot,
+                     -coriolis / r + u1 * cos(heading) / mr,
+                     theta_dot, u2 / j_uav)
+        return deriv, u1, u2, winch * r_ddot - rho * tension, tension, theta_c
 
-def inner_loop(state: FullState, theta_c: float, g: GainConfig,
-               p: PlantParams) -> float:
-    """PD attitude torque with damping on the measured pitch rate."""
-    return -p.j_uav * (g.k_pt * (state.theta - theta_c) + g.k_dt * state.theta_dot)
-
-
-def closed_loop_rhs(state: FullState, sp: Setpoint, g: GainConfig,
-                    p: PlantParams, ideal_attitude: bool = False
-                    ) -> tuple[StateDerivative, ControlInputs, float, ControlDiagnostics]:
-    """Full closed-loop state derivative under the cascade controller.
-
-    The radial acceleration is the analytically known saturated value (the
-    winch torque cancels the tension feed-through exactly), so it is fed to
-    the outer loop directly instead of being differentiated numerically.
-    With ``ideal_attitude`` the pitch is pinned to its command: only the
-    radial and elevation entries of the derivative are meaningful and the
-    tension reduces to ``t_bar + m*r*alpha_dot**2``.
-
-    Returns ``(derivative, inputs, tension, diagnostics)``.
-    """
-    if not state.r > 0.0:
-        raise ValueError(f"taut model requires r > 0, got r={state.r}")
-    r_ddot = radial_acceleration(state.r, state.r_dot, sp.r_bar, g)
-    u1, theta_c, diag = outer_loop(state, sp, r_ddot, g, p)
-
-    if ideal_attitude:
-        alpha_ddot = (-g.k_pa * (state.alpha - sp.alpha_bar)
-                      - g.k_da * state.alpha_dot)
-        tension_value = diag.t_predicted
-        u2 = 0.0
-        deriv = StateDerivative(state.r_dot, r_ddot, state.alpha_dot,
-                                alpha_ddot, 0.0, 0.0)
-    else:
-        u2 = inner_loop(state, theta_c, g, p)
-        alpha_ddot = elevation_acceleration(state, u1, p)
-        tension_value = tension(state, u1, r_ddot, p)
-        deriv = StateDerivative(state.r_dot, r_ddot, state.alpha_dot,
-                                alpha_ddot, state.theta_dot, u2 / p.j_uav)
-
-    u3 = (p.i_winch / p.rho) * r_ddot - p.rho * tension_value
-    inputs = ControlInputs(u1=u1, u2=u2, u3=u3)
-    return deriv, inputs, tension_value, diag
+    return rhs

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from . import equilibria
 from .analysis import GainCertificate, RadialEnvelope
 from .control import GainConfig
 from .equilibria import Setpoint, interpolate_path, interpolate_setpoint
-from .plant import FullState, PlantParams
+from .plant import PlantParams
 
 
 #: Share of the tension-safe peak attitude-error budget that the ball radii
@@ -75,6 +76,8 @@ class WaypointPlan:
 
     waypoints: tuple[Waypoint, ...]
     min_radii: tuple[float, float]
+    # per waypoint (alpha_bar, theta_bar, dx_alpha**2, dx_theta**2)
+    balls: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.waypoints:
@@ -82,6 +85,9 @@ class WaypointPlan:
         s_values = [w.s for w in self.waypoints]
         if any(b <= a for a, b in zip(s_values, s_values[1:])):
             raise ValueError("path parameters must increase along the chain")
+        object.__setattr__(self, "balls", tuple(
+            (w.sp.alpha_bar, w.sp.theta_bar, w.dx_alpha ** 2, w.dx_theta ** 2)
+            for w in self.waypoints))
 
 
 @dataclass(slots=True)
@@ -159,20 +165,10 @@ def ball_radii(sp: Setpoint, g: GainConfig, p: PlantParams,
     return _radii_for_tension(t_bar, g, p, cert, r_env)
 
 
-def switch_ready(state: FullState, next_wp: Waypoint) -> bool:
-    """True when the measured errors lie inside the next waypoint's ball."""
-    d_alpha = ((state.alpha - next_wp.sp.alpha_bar) ** 2
-               + state.alpha_dot ** 2)
-    d_theta = ((state.theta - next_wp.sp.theta_bar) ** 2
-               + state.theta_dot ** 2)
-    return (d_alpha <= next_wp.dx_alpha ** 2
-            and d_theta <= next_wp.dx_theta ** 2)
-
-
-def governor_step(state: FullState, plan: WaypointPlan, gs: GovernorState,
+def governor_step(y: Sequence[float], plan: WaypointPlan, gs: GovernorState,
                   t: float = 0.0) -> GovernorState:
     """Advance the supervisor to the most final waypoint whose ball admits
-    the state.
+    the state ``y = (r, r_dot, alpha, alpha_dot, theta, theta_dot)``.
 
     Each admitting ball guarantees convergence with positive tension, so the
     supervisor may skip any number of intermediate waypoints at once (a
@@ -181,8 +177,12 @@ def governor_step(state: FullState, plan: WaypointPlan, gs: GovernorState,
     reference change is recorded.  The index never increases."""
     if not 0 <= gs.active_index < len(plan.waypoints):
         raise ValueError(f"active_index {gs.active_index} outside the plan")
+    _, _, alpha, alpha_dot, theta, theta_dot = y
+    balls = plan.balls
     for k in range(gs.active_index):
-        if switch_ready(state, plan.waypoints[k]):
+        alpha_bar, theta_bar, dx_alpha_sq, dx_theta_sq = balls[k]
+        if ((alpha - alpha_bar) ** 2 + alpha_dot ** 2 <= dx_alpha_sq
+                and (theta - theta_bar) ** 2 + theta_dot ** 2 <= dx_theta_sq):
             return GovernorState(active_index=k,
                                  switch_times=gs.switch_times + [t])
     return gs

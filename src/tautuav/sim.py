@@ -19,13 +19,14 @@ scenarios stay comparable sample by sample.
 
 from __future__ import annotations
 
+import array
 import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import GainConfig, closed_loop_rhs
+from .control import GainConfig, closed_loop
 from .equilibria import Setpoint
 from .governor import GovernorState, WaypointPlan, governor_step
 from .plant import FullState, PlantParams, rk4_step, wrap_angle
@@ -106,6 +107,7 @@ class TrajectoryLog:
     theta_c: np.ndarray
     waypoint: np.ndarray
     events: SimEvents
+    stage_tension_min: float = math.nan  # over every RK4 stage too [N]
 
     COLUMNS = ("t", "r", "r_dot", "alpha", "alpha_dot", "theta", "theta_dot",
                "u1", "u2", "u3", "T", "theta_c", "waypoint")
@@ -132,7 +134,7 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
 
     Governed runs require ``plan``; the supervisor is re-evaluated at every
     step, so reference switches land on the step grid and the applied
-    reference is piecewise constant.
+    reference is piecewise constant, held through the step's RK4 stages.
     """
     mode = cfg.mode
     ideal = mode is ScenarioMode.IDEAL_ATTITUDE
@@ -147,55 +149,61 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
             f"initial radial speed {cfg.initial.r_dot} violates the admissible "
             f"bound lambda1/k_dr = {g.lambda1 / g.k_dr}")
 
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    dwell_steps = int(round(cfg.convergence_dwell / cfg.dt))
-    state = cfg.initial
+    dt = cfg.dt
+    n_steps = int(round(cfg.t_final / dt))
+    dwell_steps = int(round(cfg.convergence_dwell / dt))
+    y = cfg.initial.as_tuple()
     prev_theta_c: float | None = None
+    ref = rhs = None
+    stage_min = math.inf
 
-    cols: list[list[float]] = [[] for _ in range(13)]
+    rows = array.array("d")  # the logged rows, 13 values each, back to back
     streak_start: int | None = None
     convergence_time: float | None = None
     prev_tension: float | None = None
     first_violation: float | None = None
 
     def stage(t: float, y: list[float]) -> tuple[float, ...]:
-        # the RK4 stages hold the reference applied at the step's start
-        return closed_loop_rhs(FullState(*y), ref, g, p,
-                               ideal_attitude=ideal)[0].as_tuple()
+        nonlocal stage_min
+        deriv, _, _, _, tension_value, _ = rhs(y)
+        if tension_value < stage_min:
+            stage_min = tension_value
+        return deriv
 
     for k in range(n_steps + 1):
-        t = k * cfg.dt
+        t = k * dt
         if gs is not None:
-            gs = governor_step(state, plan, gs, t)
-            ref = plan.waypoints[gs.active_index].sp
+            gs = governor_step(y, plan, gs, t)
             wp_index = gs.active_index
+            sp = plan.waypoints[wp_index].sp
         else:
-            ref = cfg.reference
+            sp = cfg.reference
             wp_index = -1
+        if sp is not ref:
+            ref = sp
+            rhs = closed_loop(ref, g, p, ideal_attitude=ideal)
 
-        deriv, inputs, tension_value, diag = closed_loop_rhs(
-            state, ref, g, p, ideal_attitude=ideal)
+        deriv, u1, u2, u3, tension_value, theta_c = rhs(y)
+        if tension_value < stage_min:
+            stage_min = tension_value
 
         if ideal:
-            theta_row = diag.theta_c
+            theta_row = theta_c
             theta_dot_row = (0.0 if prev_theta_c is None
-                             else (diag.theta_c - prev_theta_c) / cfg.dt)
+                             else (theta_c - prev_theta_c) / dt)
         else:
-            theta_row = state.theta
-            theta_dot_row = state.theta_dot
-        prev_theta_c = diag.theta_c
+            theta_row = y[4]
+            theta_dot_row = y[5]
+        prev_theta_c = theta_c
 
-        row = (state.r, state.r_dot, state.alpha, state.alpha_dot,
-               wrap_angle(theta_row), theta_dot_row)
-        values = (t, *row, inputs.u1, inputs.u2, inputs.u3, tension_value,
-                  wrap_angle(diag.theta_c), float(wp_index))
-        for col, v in zip(cols, values):
-            col.append(v)
+        row = (y[0], y[1], y[2], y[3], wrap_angle(theta_row), theta_dot_row)
+        rows.extend((t, *row, u1, u2, u3, tension_value, wrap_angle(theta_c),
+                     float(wp_index)))
 
         if (prev_tension is not None and first_violation is None
                 and prev_tension > cfg.tension_min >= tension_value):
             frac = (prev_tension - cfg.tension_min) / (prev_tension - tension_value)
-            first_violation = round(t - cfg.dt + frac * cfg.dt, 4)
+            first_violation = round(t - dt + frac * dt, 4)
         prev_tension = tension_value
 
         if convergence_time is None:
@@ -204,27 +212,25 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
                 if streak_start is None:
                     streak_start = k
                 if k - streak_start >= dwell_steps:
-                    convergence_time = streak_start * cfg.dt
+                    convergence_time = streak_start * dt
             else:
                 streak_start = None
 
         if k == n_steps:
             break
 
-        nxt = rk4_step(stage, t, state.as_tuple(), cfg.dt,
-                       k1=deriv.as_tuple())
-        if not all(math.isfinite(v) for v in nxt):
-            raise SimulationDiverged(f"non-finite state at t={t + cfg.dt}: {nxt}")
-        state = FullState(*nxt)
+        y = rk4_step(stage, t, y, dt, k1=deriv)
+        if not all(map(math.isfinite, y)):
+            raise SimulationDiverged(f"non-finite state at t={t + dt}: {y}")
 
     events = SimEvents(
         first_tension_violation=first_violation,
         switch_times=tuple(gs.switch_times) if gs is not None else (),
         convergence_time=convergence_time,
     )
-    arrays = [np.asarray(c) for c in cols]
-    arrays[12] = arrays[12].astype(int)
-    return TrajectoryLog(*arrays, events=events)
+    columns = np.frombuffer(rows).reshape(-1, 13).T.copy()
+    return TrajectoryLog(*columns[:12], columns[12].astype(int),
+                         events=events, stage_tension_min=stage_min)
 
 
 @dataclass(frozen=True)

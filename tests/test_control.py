@@ -1,5 +1,6 @@
 """Cascade controller: winch law, thrust vectoring, attitude loop, composition."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import tautuav as tu
 from tautuav import analysis, control
 from tautuav.cli import ConfigError, parse_config
 from tautuav.control import PreconditionError
+from tautuav.plant import elevation_acceleration
 
 from conftest import sample_attainable
 
@@ -66,8 +68,17 @@ class TestGainConfig:
             tu.GainConfig(zeta=1.2)
 
     def test_rejects_untied_radial_damping(self):
-        with pytest.raises(ValueError, match="k_dr"):
+        # the tied gains are derived, so no value can be given to break the
+        # tie (the config parser checks an explicit one)
+        with pytest.raises(TypeError, match="k_dr"):
             tu.GainConfig(k_dr=5.0)
+
+    def test_replace_rederives_tied_gains(self):
+        g = dataclasses.replace(tu.GainConfig(), k_pr=50.0, k_pt=150.0)
+        assert g.k_dr == 2.0 * math.sqrt(50.0)
+        assert g.k_dt == 2.0 * g.zeta * math.sqrt(150.0)
+        assert dataclasses.replace(g, zeta=0.7).k_dt == (
+            2.0 * 0.7 * math.sqrt(150.0))
 
     def test_rejects_saturation_ordering(self):
         with pytest.raises(ValueError, match="lambda2"):
@@ -112,22 +123,42 @@ class TestGroundControl:
         assert control.radial_acceleration(state2.r, state2.r_dot, 2.0, gains) == gains.lambda1
 
 
+def random_state(rng):
+    return (float(rng.uniform(0.3, 1.5)), float(rng.uniform(-0.18, 0.18)),
+            float(rng.uniform(0.0, math.pi)), float(rng.uniform(-5, 5)),
+            float(rng.uniform(-1, 1)), float(rng.uniform(-3, 3)))
+
+
+def channels(y, sp, g, p):
+    """Tension and elevation channels (u_t, u_alpha) of the outer loop,
+    written out from the control law."""
+    r, r_dot, alpha, alpha_dot, _, _ = y
+    r_ddot = control.radial_acceleration(r, r_dot, sp.r_bar, g)
+    t_bar = tu.equilibrium_tension(sp, p, g.hover_tension)
+    u_t = t_bar + p.m * p.g * math.sin(alpha) + p.m * r_ddot
+    u_alpha = (p.m * (2.0 * r_dot * alpha_dot + p.g * math.cos(alpha))
+               - p.m * r * (g.k_pa * (alpha - sp.alpha_bar)
+                            + g.k_da * alpha_dot))
+    return u_t, u_alpha
+
+
 class TestOuterLoop:
     def test_equilibrium_fixed_point(self, plant, gains):
         rng = np.random.default_rng(2)
         for _ in range(100):
             sp = sample_attainable(rng, gains.eps, plant)
-            state = tu.FullState(sp.r_bar, 0.0, sp.alpha_bar, 0.0, sp.theta_bar, 0.0)
-            u1, theta_c, diag = control.outer_loop(state, sp, 0.0, gains, plant)
+            state = (sp.r_bar, 0.0, sp.alpha_bar, 0.0, sp.theta_bar, 0.0)
+            _, u1, _, _, _, theta_c = tu.closed_loop(sp, gains, plant)(state)
             u_bar = tu.equilibrium_inputs(sp, plant)
             assert u1 == pytest.approx(u_bar.u1, rel=1e-9)
             assert theta_c == pytest.approx(sp.theta_bar, abs=1e-9)
 
     def test_vertical_hover_geometry(self, plant, gains):
         sp = tu.Setpoint(1.0, math.pi / 2.0, 0.0)
-        state = tu.FullState(1.0, 0.0, math.pi / 2.0, 0.0, 0.0, 0.0)
-        u1, theta_c, diag = control.outer_loop(state, sp, 0.0, gains, plant)
-        assert diag.u_alpha == pytest.approx(0.0, abs=1e-12)
+        state = (1.0, 0.0, math.pi / 2.0, 0.0, 0.0, 0.0)
+        _, u1, _, _, _, theta_c = tu.closed_loop(sp, gains, plant)(state)
+        u_alpha = u1 * math.cos(state[2] + theta_c)
+        assert u_alpha == pytest.approx(0.0, abs=1e-12)
         assert theta_c == pytest.approx(0.0, abs=1e-12)
         assert u1 == pytest.approx(gains.hover_tension + plant.m * plant.g, rel=1e-12)
 
@@ -135,52 +166,51 @@ class TestOuterLoop:
         rng = np.random.default_rng(3)
         for _ in range(300):
             sp = sample_attainable(rng, gains.eps, plant)
-            state = tu.FullState(
-                r=float(rng.uniform(0.3, 1.5)), r_dot=float(rng.uniform(-0.18, 0.18)),
-                alpha=float(rng.uniform(0.0, math.pi)),
-                alpha_dot=float(rng.uniform(-5, 5)),
-                theta=float(rng.uniform(-1, 1)), theta_dot=float(rng.uniform(-3, 3)))
-            r_ddot = control.radial_acceleration(state.r, state.r_dot, sp.r_bar, gains)
-            _, _, diag = control.outer_loop(state, sp, r_ddot, gains, plant)
+            state = random_state(rng)
+            _, u1, _, _, _, theta_c = tu.closed_loop(sp, gains, plant)(state)
+            # the tension channel the recombined thrust applies
+            u_t = u1 * math.sin(state[2] + theta_c)
             t_bar = tu.equilibrium_tension(sp, plant)
-            assert diag.u_t >= t_bar - plant.m * gains.lambda1 - 1e-12
-            assert diag.u_t > 0.0
+            assert u_t >= t_bar - plant.m * gains.lambda1 - 1e-12
+            assert u_t > 0.0
 
     def test_thrust_reconstruction(self, plant, gains):
         rng = np.random.default_rng(4)
         for _ in range(300):
             sp = sample_attainable(rng, gains.eps, plant)
-            state = tu.FullState(
-                r=float(rng.uniform(0.3, 1.5)), r_dot=float(rng.uniform(-0.18, 0.18)),
-                alpha=float(rng.uniform(0.0, math.pi)),
-                alpha_dot=float(rng.uniform(-5, 5)),
-                theta=float(rng.uniform(-1, 1)), theta_dot=float(rng.uniform(-3, 3)))
-            r_ddot = control.radial_acceleration(state.r, state.r_dot, sp.r_bar, gains)
-            u1, theta_c, diag = control.outer_loop(state, sp, r_ddot, gains, plant)
-            assert u1 * math.cos(state.alpha + theta_c) == pytest.approx(
-                diag.u_alpha, abs=1e-10 * max(1.0, abs(diag.u_alpha)))
-            assert u1 * math.sin(state.alpha + theta_c) == pytest.approx(
-                diag.u_t, abs=1e-10 * max(1.0, abs(diag.u_t)))
+            state = random_state(rng)
+            _, u1, _, _, _, theta_c = tu.closed_loop(sp, gains, plant)(state)
+            u_t, u_alpha = channels(state, sp, gains, plant)
+            assert u1 * math.cos(state[2] + theta_c) == pytest.approx(
+                u_alpha, abs=1e-10 * max(1.0, abs(u_alpha)))
+            assert u1 * math.sin(state[2] + theta_c) == pytest.approx(
+                u_t, abs=1e-10 * max(1.0, abs(u_t)))
 
     def test_precondition_violation_raises(self, plant):
         g = tu.GainConfig(lambda1=1.75, lambda2=3.0)  # t_bar/m = 1.722
         sp = tu.Setpoint(0.5, 9.0 * math.pi / 10.0, -math.pi / 20.0)
-        state = tu.FullState(0.5, 0.0, sp.alpha_bar, 0.0, sp.theta_bar, 0.0)
         with pytest.raises(PreconditionError, match="lambda1"):
-            control.outer_loop(state, sp, 0.0, g, plant)
+            tu.closed_loop(sp, g, plant)
 
 
 class TestInnerLoop:
     def test_zero_error_zero_torque(self, plant, gains):
-        state = tu.FullState(1.0, 0.0, 0.5, 0.0, 0.3, 0.0)
-        assert control.inner_loop(state, 0.3, gains, plant) == 0.0
+        sp = tu.Setpoint(0.7, 0.5, 0.2)
+        rhs = tu.closed_loop(sp, gains, plant)
+        theta_c = rhs((1.0, 0.0, 0.5, 0.0, 0.0, 0.0))[5]
+        # the command does not depend on the measured pitch
+        _, _, u2, _, _, theta_c2 = rhs((1.0, 0.0, 0.5, 0.0, theta_c, 0.0))
+        assert theta_c2 == theta_c
+        assert u2 == 0.0
 
     def test_proportional_torque_value(self):
         p = tu.PlantParams(j_uav=0.015)
         g = tu.GainConfig(k_pt=200.0, zeta=0.9)
-        state = tu.FullState(1.0, 0.0, 0.5, 0.0, 0.1, 0.0)
+        rhs = tu.closed_loop(tu.Setpoint(0.7, 0.5, 0.2), g, p)
+        theta_c = rhs((1.0, 0.0, 0.5, 0.0, 0.0, 0.0))[5]
+        _, _, u2, _, _, _ = rhs((1.0, 0.0, 0.5, 0.0, theta_c + 0.1, 0.0))
         # torque = -J * k_pt * theta_err = -0.015 * 200 * 0.1
-        assert control.inner_loop(state, 0.0, g, p) == pytest.approx(-0.3, rel=1e-12)
+        assert u2 == pytest.approx(-0.3, rel=1e-12)
 
     def test_step_response_converges_with_damped_oscillation(self, plant, gains):
         dt = 1e-3
@@ -207,9 +237,9 @@ class TestClosedLoop:
         rng = np.random.default_rng(6)
         for _ in range(50):
             sp = sample_attainable(rng, gains.eps, plant)
-            state = tu.FullState(sp.r_bar, 0.0, sp.alpha_bar, 0.0, sp.theta_bar, 0.0)
-            deriv, inputs, t_val, diag = tu.closed_loop_rhs(state, sp, gains, plant)
-            assert max(abs(v) for v in deriv.as_tuple()) < 1e-9
+            state = (sp.r_bar, 0.0, sp.alpha_bar, 0.0, sp.theta_bar, 0.0)
+            deriv, _, _, _, t_val, _ = tu.closed_loop(sp, gains, plant)(state)
+            assert max(abs(v) for v in deriv) < 1e-9
             assert t_val == pytest.approx(tu.equilibrium_tension(sp, plant), rel=1e-9)
 
     def test_ideal_mode_tension_law(self, plant, gains, ideal_log):
@@ -236,9 +266,49 @@ class TestClosedLoop:
         assert np.abs(r_ddot).max() <= gains.lambda1 + 1e-12
 
     def test_rejects_nonpositive_radius(self, plant, gains, ref_setpoint):
-        state = tu.FullState(-0.1, 0.0, 0.5, 0.0, 0.0, 0.0)
+        state = (-0.1, 0.0, 0.5, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="r > 0"):
-            tu.closed_loop_rhs(state, ref_setpoint, gains, plant)
+            tu.closed_loop(ref_setpoint, gains, plant)(state)
+
+    @pytest.mark.parametrize("ideal", [False, True])
+    def test_kernel_matches_plant_model_and_winch_law(self, plant, gains,
+                                                      ideal):
+        """The kernel against the model stated one law at a time: the same
+        operations give the same bits, and the taut-cable equations of
+        motion driven by the kernel's inputs and tension give its
+        derivative within 1e-12 relative."""
+        rng = np.random.default_rng(7 + ideal)
+        setpoints = [tu.Setpoint(0.8, math.pi / 2.0, 0.0)]
+        setpoints += [sample_attainable(rng, gains.eps, plant)
+                      for _ in range(40)]
+        for i in range(240):
+            sp = setpoints[i % len(setpoints)]
+            y = random_state(rng)
+            deriv, u1, u2, u3, t_val, theta_c = tu.closed_loop(
+                sp, gains, plant, ideal_attitude=ideal)(y)
+            # with the pitch pinned to its command the model sees theta_c
+            state = tu.FullState(*y[:4], theta_c, 0.0) if ideal \
+                else tu.FullState(*y)
+            r_ddot = control.radial_acceleration(y[0], y[1], sp.r_bar, gains)
+            assert deriv[1] == r_ddot
+            u_t, u_alpha = channels(y, sp, gains, plant)
+            assert u1 == math.hypot(u_t, u_alpha)
+            assert theta_c == math.pi / 2.0 - y[2] - math.atan2(u_alpha, u_t)
+            assert u3 == control.ground_control(state, sp.r_bar, t_val,
+                                                gains, plant)
+            if ideal:
+                assert (u2, deriv[4], deriv[5]) == (0.0, 0.0, 0.0)
+                assert t_val == pytest.approx(
+                    tu.tension(state, u1, r_ddot, plant), rel=1e-12, abs=1e-12)
+            else:
+                assert u2 == -plant.j_uav * (gains.k_pt * (y[4] - theta_c)
+                                             + gains.k_dt * y[5])
+                assert t_val == tu.tension(state, u1, r_ddot, plant)
+                assert deriv[3] == elevation_acceleration(state, u1, plant)
+            want = tu.taut_rhs(state, tu.ControlInputs(u1, u2, u3), t_val,
+                               plant).as_tuple()
+            for got, ref in zip(deriv, want):
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_error_dynamics_equivalence(plant, gains, ref_setpoint, start_setpoint):
@@ -255,28 +325,26 @@ def test_error_dynamics_equivalence(plant, gains, ref_setpoint, start_setpoint):
     red = (state.alpha - ref_setpoint.alpha_bar, 0.0)
     dt = 1e-3
     max_dev = 0.0
+    rhs = tu.closed_loop(ref_setpoint, gains, plant)
 
-    def reduced_rhs(red_state, full_state):
+    def reduced_rhs(red_state, full_state, theta_c):
         a_err, a_dot = red_state
-        r_ddot = control.radial_acceleration(full_state.r, full_state.r_dot,
-                                             ref_setpoint.r_bar, gains)
-        _, theta_c, diag = control.outer_loop(full_state, ref_setpoint, r_ddot,
-                                              gains, plant)
+        u_t, u_alpha = channels(full_state.as_tuple(), ref_setpoint, gains,
+                                plant)
         theta_err = full_state.theta - theta_c
         delta, _, _ = analysis.error_terms(full_state, t_bar, theta_err,
-                                           diag.u_t, diag.u_alpha, plant)
+                                           u_t, u_alpha, plant)
         gamma = ((plant.g * math.cos(a_err + ref_setpoint.alpha_bar)
                   / full_state.r) * (math.cos(theta_err) - 1.0)
-                 - diag.u_t * math.sin(theta_err) / (plant.m * full_state.r))
+                 - u_t * math.sin(theta_err) / (plant.m * full_state.r))
         a_ddot = (-(gains.k_pa * a_err + gains.k_da * a_dot)
                   * math.cos(theta_err) + delta * a_dot + gamma)
         return a_dot, a_ddot
 
     def joint_rhs(t, y):
         # full closed loop (first six entries) beside the reduced form
-        full_state = tu.FullState(*y[:6])
-        d = tu.closed_loop_rhs(full_state, ref_setpoint, gains, plant)[0]
-        return d.as_tuple() + reduced_rhs(y[6:], full_state)
+        d, _, _, _, _, theta_c = rhs(y[:6])
+        return d + reduced_rhs(y[6:], tu.FullState(*y[:6]), theta_c)
 
     y = state.as_tuple() + red
     for k in range(2000):

@@ -141,20 +141,28 @@ class TestBacktrackPlan:
         assert len(plan.waypoints) == 1
 
 
+def admits(y, wp):
+    """True when the supervisor, tracking a waypoint behind ``wp``, switches
+    to ``wp`` from the state ``y``."""
+    behind = tu.Waypoint(wp.sp, s=1.0, dx_alpha=1e-9, dx_theta=1e-9)
+    plan = tu.WaypointPlan(waypoints=(wp, behind), min_radii=(1e-9, 1e-9))
+    return tu.governor_step(y, plan, tu.GovernorState(active_index=1)
+                            ).active_index == 0
+
+
 class TestSwitching:
     def test_ready_at_equilibrium(self):
         wp = tu.Waypoint(tu.Setpoint(1.0, 0.5, 0.2), s=0.0,
                          dx_alpha=0.1, dx_theta=0.05)
-        state = tu.FullState(1.0, 0.0, 0.5, 0.0, 0.2, 0.0)
-        assert tu.switch_ready(state, wp)
+        assert admits((1.0, 0.0, 0.5, 0.0, 0.2, 0.0), wp)
 
     def test_rate_term_blocks(self):
         wp = tu.Waypoint(tu.Setpoint(1.0, 0.5, 0.2), s=0.0,
                          dx_alpha=0.1, dx_theta=0.05)
-        state = tu.FullState(1.0, 0.0, 0.5, 0.2, 0.2, 0.0)  # alpha_dot too big
-        assert not tu.switch_ready(state, wp)
-        state2 = tu.FullState(1.0, 0.0, 0.5, 0.0, 0.2, 0.06)  # theta_dot too big
-        assert not tu.switch_ready(state2, wp)
+        assert not admits((1.0, 0.0, 0.5, 0.2, 0.2, 0.0), wp)  # alpha_dot too big
+        assert not admits((1.0, 0.0, 0.5, 0.0, 0.2, 0.06), wp)  # theta_dot too big
+        # each ball is closed: a state on its rim is admitted
+        assert admits((1.0, 0.0, 0.5, 0.0, 0.2, 0.05), wp)
 
     def test_becomes_ready_in_finite_time(self, plant, gains,
                                           default_certificate):
@@ -171,10 +179,9 @@ class TestSwitching:
                                start.r_bar, start.alpha_bar, start.theta_bar),
                            reference=active.sp)
         log = tu.run_scenario(cfg, gains, plant)
-        ready = [tu.switch_ready(
-            tu.FullState(log.r[i], log.r_dot[i], log.alpha[i],
+        ready = [admits((log.r[i], log.r_dot[i], log.alpha[i],
                          log.alpha_dot[i], log.theta[i], log.theta_dot[i]),
-            target) for i in range(len(log))]
+                        target) for i in range(len(log))]
         assert any(ready)
 
     def test_governor_jumps_to_final_from_inside(self, plant, gains,
@@ -184,8 +191,7 @@ class TestSwitching:
         start = tu.Setpoint(0.8, 1.3, 0.03)
         plan = tu.backtrack_plan(start, final, gains, plant, cert, env)
         gs = tu.GovernorState(active_index=len(plan.waypoints) - 1)
-        state = tu.FullState(final.r_bar, 0.0, final.alpha_bar, 0.0,
-                             final.theta_bar, 0.0)
+        state = (final.r_bar, 0.0, final.alpha_bar, 0.0, final.theta_bar, 0.0)
         gs2 = tu.governor_step(state, plan, gs, t=1.0)
         assert gs2.active_index == 0
         assert gs2.switch_times == [1.0]
@@ -196,8 +202,8 @@ class TestSwitching:
         start = tu.Setpoint(0.8, 1.3, 0.03)
         plan = tu.backtrack_plan(start, final, gains, plant, cert, env)
         gs = tu.GovernorState(active_index=len(plan.waypoints) - 1)
-        state = tu.FullState(start.r_bar, 0.0, start.alpha_bar, 1.5,
-                             start.theta_bar, 0.0)  # large rates: no ball admits
+        state = (start.r_bar, 0.0, start.alpha_bar, 1.5,
+                 start.theta_bar, 0.0)  # large rates: no ball admits
         gs2 = tu.governor_step(state, plan, gs, t=0.0)
         assert gs2.active_index == len(plan.waypoints) - 1
         assert gs2.switch_times == []
@@ -259,6 +265,6 @@ class TestTypes:
 
     def test_governor_state_bounds_checked(self, rg_bundle):
         plan, _, _, _ = rg_bundle
-        state = tu.FullState(1.0, 0.0, 0.5, 0.0, 0.0, 0.0)
+        state = (1.0, 0.0, 0.5, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="active_index"):
             tu.governor_step(state, plan, tu.GovernorState(active_index=99), 0.0)

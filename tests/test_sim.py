@@ -96,6 +96,15 @@ class TestScenarios:
         expected = round(log.t[idx] + frac * 1e-3, 4)
         assert log.events.first_tension_violation == expected
 
+    def test_taut_cable_checked_at_every_rk4_stage(self, rg_bundle,
+                                                   no_rg_log):
+        """The stage minimum covers the logged rows and dips below them."""
+        log = rg_bundle[3]
+        assert 0.0 < log.stage_tension_min <= log.tension.min()
+        assert log.stage_tension_min == pytest.approx(1.59388, abs=1e-5)
+        assert log.tension.min() == pytest.approx(1.59390, abs=1e-5)
+        assert no_rg_log.stage_tension_min <= no_rg_log.tension.min() < 0.0
+
     def test_log_grid_uniform(self, ideal_log):
         dt = np.diff(ideal_log.t)
         assert np.allclose(dt, 1e-3, rtol=0.0, atol=1e-12)
@@ -155,18 +164,23 @@ class TestScenarios:
 
     def test_non_finite_rhs_raises_diverged_with_time(self, plant, gains,
                                                       monkeypatch):
-        real_rhs = sim.closed_loop_rhs
+        real_closed_loop = sim.closed_loop
         calls = []
 
-        def blows_up(state, *args, **kwargs):
-            # four evaluations a step: call 402 is the second RK4 stage of
-            # the step from t = 0.100 to t = 0.101
-            calls.append(state)
-            if len(calls) < 402:
-                return real_rhs(state, *args, **kwargs)
-            return (tu.StateDerivative(*[math.nan] * 6), None, math.nan, None)
+        def closed_loop(*args, **kwargs):
+            real_rhs = real_closed_loop(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "closed_loop_rhs", blows_up)
+            def blows_up(y):
+                # four evaluations a step: call 402 is the second RK4 stage
+                # of the step from t = 0.100 to t = 0.101
+                calls.append(y)
+                if len(calls) < 402:
+                    return real_rhs(y)
+                return ((math.nan,) * 6,) + (math.nan,) * 5
+
+            return blows_up
+
+        monkeypatch.setattr(sim, "closed_loop", closed_loop)
         cfg = tu.SimConfig(t_final=1.0, mode=tu.ScenarioMode.INNER_NO_RG)
         with pytest.raises(SimulationDiverged,
                            match=r"non-finite state at t=0\.101"):
