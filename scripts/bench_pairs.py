@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """A/B benchmark: this checkout against a base commit, in interleaved pairs.
 
-    python3 scripts/bench_pairs.py [--base HEAD] [--pairs 10] [--seconds 40]
-                                   [--workloads NAME ...] [--out FILE]
+    python3 scripts/bench_pairs.py --out FILE [--base HEAD] [--base-dir DIR]
 
 Checks the base commit out into a temporary ``git worktree`` (or uses the
 checkout given with ``--base-dir``) and runs ``perfbench/run.py --trace 0``
-in both trees, one run at a time.  Pair ``i`` runs every workload with seed
-``--seed + i`` on both sides; even pairs run the base first, odd pairs the
-change first, so that a drift of the host's speed does not favour one side.
+in both trees, one run at a time, for every workload and the run length
+that ``BENCHMARK.json`` declares.  Pair ``i`` of the 10 runs every workload
+with seed ``1000 + i`` on both sides; even pairs run the base first, odd
+pairs the change first, so that a drift of the host's speed does not favour
+one side.  Ten pairs are the fewest that a claimed gain is judged on.
 Before the change is committed its base is ``HEAD``; afterwards pass
 ``--base HEAD~1``.
 
@@ -34,7 +35,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("reference-experiments", "governed-missions", "certify-estimate")
+PAIRS = 10
+SEED = 1000  # seed of pair 0
 
 
 def _git(*args: str) -> str:
@@ -76,18 +78,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--base-dir", type=Path, default=None,
                     help="an existing checkout of the base, instead of a "
                          "temporary worktree")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=40.0)
-    ap.add_argument("--seed", type=int, default=1000, help="seed of pair 0")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS,
-                    default=list(WORKLOADS))
-    ap.add_argument("--out", type=Path,
-                    default=ROOT / "BENCH_closed_loop_kernel.json")
+    ap.add_argument("--out", type=Path, required=True,
+                    help="the JSON record to write")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("quartiles need at least 2 pairs")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    names = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory() as tmp:
         if args.base_dir is None:
@@ -99,16 +96,16 @@ def main(argv: list[str] | None = None) -> int:
             base_commit = subprocess.run(
                 ["git", "rev-parse", "HEAD"], cwd=base_dir, check=True,
                 capture_output=True, text=True).stdout.strip()
-            runs = {w: {"base": [], "change": []} for w in args.workloads}
-            for i in range(args.pairs):
-                seed = args.seed + i
+            runs = {w: {"base": [], "change": []} for w in names}
+            for i in range(PAIRS):
+                seed = SEED + i
                 order = (("base", base_dir), ("change", ROOT))
                 if i % 2:
                     order = order[::-1]
-                for workload in args.workloads:
+                for workload in names:
                     for side, tree in order:
                         t0 = time.monotonic()
-                        result = _run(tree, workload, seed, args.seconds)
+                        result = _run(tree, workload, seed, seconds)
                         runs[workload][side].append(result)
                         print(f"pair {i} {workload} {side}: correct="
                               f"{result['correct']} "
@@ -130,9 +127,8 @@ def main(argv: list[str] | None = None) -> int:
                     better[name])
                 for name in better}
         workloads[workload] = entry
-    record = {"base_commit": base_commit, "pairs": args.pairs,
-              "seconds": args.seconds,
-              "seeds": [args.seed, args.seed + args.pairs - 1],
+    record = {"base_commit": base_commit, "pairs": PAIRS,
+              "seconds": seconds, "seeds": [SEED, SEED + PAIRS - 1],
               "cores": os.cpu_count(),
               "cores_usable": len(os.sched_getaffinity(0)),
               "python": platform.python_version(), "workloads": workloads}

@@ -254,7 +254,7 @@ def _initial_error_norms(p: PlantParams, g: GainConfig,
                          cfg: SimConfig) -> tuple[float, float]:
     state = cfg.initial
     ref = cfg.reference
-    theta_c = control.closed_loop(ref, g, p)(state.as_tuple())[5]
+    theta_c = control.evaluate(state, ref, g, p)[3].theta_c
     x_alpha = math.hypot(state.alpha - ref.alpha_bar, state.alpha_dot)
     x_theta = math.hypot(state.theta - theta_c, state.theta_dot)
     return x_alpha, x_theta

@@ -16,8 +16,9 @@ Three loops cooperate:
   acts on the measured pitch rate so the feedback path never needs the
   commanded pitch rate.
 
-``closed_loop`` composes the three, per setpoint, into one kernel on plain
-floats.  ``radial_acceleration`` and ``ground_control`` with
+``closed_loop`` settles the per-setpoint constants of the three and
+``closed_loop_rhs`` evaluates them together, one kernel on plain floats.
+``radial_acceleration`` and ``ground_control`` with
 :func:`tautuav.plant.taut_rhs` state the laws one at a time: the reference
 the kernel is tested against.
 """
@@ -26,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from math import atan2, copysign, cos, hypot, sin
+from typing import Sequence
 
 from . import equilibria
 from .equilibria import HALF_PI, Setpoint, default_hover_tension
-from .plant import FullState, PlantParams
+from .plant import ControlInputs, FullState, PlantParams, StateDerivative
 
 
 class PreconditionError(ValueError):
@@ -106,6 +108,15 @@ class GainConfig:
         return 2.0 * self.zeta * math.sqrt(self.k_pt)
 
 
+@dataclass(frozen=True, slots=True)
+class ControlDiagnostics:
+    """Outer-loop channel decomposition: u1 reconstructs as hypot(u_t, u_alpha)."""
+
+    u_t: float          # tension-channel command [N]
+    u_alpha: float      # elevation-channel command [N]
+    theta_c: float      # commanded pitch [rad]
+
+
 def saturate(x: float, level: float) -> float:
     """Symmetric saturation: sign(x) * min(|x|, level)."""
     if not level > 0.0:
@@ -134,71 +145,90 @@ def ground_control(state: FullState, r_bar: float, tension_value: float,
             - p.rho * tension_value)
 
 
-def closed_loop(sp: Setpoint, g: GainConfig, p: PlantParams,
-                ideal_attitude: bool = False
-                ) -> Callable[[Sequence[float]], tuple]:
-    """Closed-loop right-hand side of the cascade controller at setpoint ``sp``.
-
-    Checks the outer loop's precondition ``lambda1 < t_bar/m`` (the tension
-    channel then stays positive, so ``atan2(u_alpha, u_t)`` is never taken
-    at the origin) and returns ``rhs(y)``, mapping the state as six floats
-    to ``(derivative 6-tuple, u1, u2, u3, tension, theta_c)``.  The radial
-    acceleration is the exact saturated value the winch law realises.  With
-    ``ideal_attitude`` the pitch is pinned to its command: only the radial
-    and elevation entries of the derivative are meaningful and the tension
-    is ``t_bar + m*r*alpha_dot**2``.
-
-    Bit-identity rule: the same float operations in the same order as the
-    reference formulas, sharing only common subexpressions.  A regrouped
-    sum drifts by ~1e-14, enough to move a governor switch by a step.
-    """
+def outer_loop(sp: Setpoint, g: GainConfig, p: PlantParams) -> float:
+    """Setpoint part of the thrust-vectoring outer loop: the equilibrium
+    tension ``t_bar`` feeding the tension channel.  Requires
+    ``lambda1 < t_bar/m``, so the tension channel stays positive for every
+    admissible radial acceleration and ``atan2(u_alpha, u_t)`` is never
+    evaluated at the origin."""
     t_bar = equilibria.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
     if not g.lambda1 < t_bar / p.m:
         raise PreconditionError(
             f"outer loop requires lambda1 < t_bar/m, got lambda1={g.lambda1} "
             f"with t_bar={t_bar}, m={p.m}")
-    r_bar, alpha_bar = sp.r_bar, sp.alpha_bar
-    k_pr, k_dr, lambda1, lambda2 = g.k_pr, g.k_dr, g.lambda1, g.lambda2
-    k_pa, k_da, k_pt, k_dt = g.k_pa, g.k_da, g.k_pt, g.k_dt
-    m, grav, j_uav, rho = p.m, p.g, p.j_uav, p.rho
-    mg = m * grav
-    winch = p.i_winch / rho
-    sin, cos, atan2, hypot, copysign = (math.sin, math.cos, math.atan2,
-                                        math.hypot, math.copysign)
+    return t_bar
 
-    def rhs(y: Sequence[float]) -> tuple:
-        r, r_dot, alpha, alpha_dot, theta, theta_dot = y
-        if not r > 0.0:
-            raise ValueError(f"taut model requires r > 0, got r={r}")
-        # nested saturation; `lam if lam < a else a` is min(a, lam) exactly
-        x = k_pr * (r - r_bar)
-        a = abs(x)
-        x = k_dr * r_dot + copysign(lambda2 if lambda2 < a else a, x)
-        a = abs(x)
-        r_ddot = -copysign(lambda1 if lambda1 < a else a, x)
-        # thrust vectoring: tension channel u_t, elevation channel u_alpha
-        sin_a = sin(alpha)
-        mr = m * r
-        coriolis = 2.0 * r_dot * alpha_dot + grav * cos(alpha)
-        u_t = t_bar + mg * sin_a + m * r_ddot
-        u_alpha = (m * coriolis
-                   - mr * (k_pa * (alpha - alpha_bar) + k_da * alpha_dot))
-        u1 = hypot(u_t, u_alpha)
-        theta_c = HALF_PI - alpha - atan2(u_alpha, u_t)
-        if ideal_attitude:
-            u2 = 0.0
-            tension = t_bar + mr * alpha_dot ** 2
-            deriv = (r_dot, r_ddot, alpha_dot,
-                     -k_pa * (alpha - alpha_bar) - k_da * alpha_dot, 0.0, 0.0)
-        else:
-            # PD attitude torque, damping on the measured pitch rate
-            u2 = -j_uav * (k_pt * (theta - theta_c) + k_dt * theta_dot)
-            heading = alpha + theta
-            tension = (mr * alpha_dot ** 2 - mg * sin_a
-                       + u1 * sin(heading) - m * r_ddot)
-            deriv = (r_dot, r_ddot, alpha_dot,
-                     -coriolis / r + u1 * cos(heading) / mr,
-                     theta_dot, u2 / j_uav)
-        return deriv, u1, u2, winch * r_ddot - rho * tension, tension, theta_c
 
-    return rhs
+def closed_loop(sp: Setpoint, g: GainConfig, p: PlantParams,
+                ideal_attitude: bool = False) -> tuple:
+    """The cascade controller at setpoint ``sp``: the constants that
+    :func:`closed_loop_rhs` needs, settled once per setpoint."""
+    return (ideal_attitude, sp.r_bar, sp.alpha_bar, outer_loop(sp, g, p),
+            g.k_pr, g.k_dr, g.lambda1, g.lambda2,
+            g.k_pa, g.k_da, g.k_pt, g.k_dt,
+            p.m, p.g, p.j_uav, p.rho, p.m * p.g, p.i_winch / p.rho)
+
+
+def closed_loop_rhs(y: Sequence[float], law: tuple) -> tuple:
+    """Closed-loop right-hand side under the cascade controller ``law``
+    (from :func:`closed_loop`) at the state ``y``, six floats.
+
+    Returns ``(derivative, (u1, u2, u3), tension, (u_t, u_alpha, theta_c))``
+    as plain tuples, which :func:`evaluate` names.  The radial acceleration
+    is the exact saturated value the winch law realises.  With ideal
+    attitude the pitch is pinned to its command: only the radial and
+    elevation entries of the derivative are meaningful and the tension is
+    ``t_bar + m*r*alpha_dot**2``.
+
+    Bit-identity rule: the same float operations in the same order as the
+    laws stated one at a time, sharing only common subexpressions.  A
+    regrouped sum drifts by ~1e-14, enough to move a governor switch by a
+    step.
+    """
+    (ideal_attitude, r_bar, alpha_bar, t_bar, k_pr, k_dr, lambda1, lambda2,
+     k_pa, k_da, k_pt, k_dt, m, grav, j_uav, rho, mg, winch) = law
+    r, r_dot, alpha, alpha_dot, theta, theta_dot = y
+    if not r > 0.0:
+        raise ValueError(f"taut model requires r > 0, got r={r}")
+    # nested saturation; `lam if lam < a else a` is min(a, lam) exactly
+    x = k_pr * (r - r_bar)
+    a = abs(x)
+    x = k_dr * r_dot + copysign(lambda2 if lambda2 < a else a, x)
+    a = abs(x)
+    r_ddot = -copysign(lambda1 if lambda1 < a else a, x)
+    # thrust vectoring: tension channel u_t, elevation channel u_alpha
+    sin_a = sin(alpha)
+    mr = m * r
+    coriolis = 2.0 * r_dot * alpha_dot + grav * cos(alpha)
+    u_t = t_bar + mg * sin_a + m * r_ddot
+    u_alpha = (m * coriolis
+               - mr * (k_pa * (alpha - alpha_bar) + k_da * alpha_dot))
+    u1 = hypot(u_t, u_alpha)
+    theta_c = HALF_PI - alpha - atan2(u_alpha, u_t)
+    if ideal_attitude:
+        u2 = 0.0
+        tension = t_bar + mr * alpha_dot ** 2
+        deriv = (r_dot, r_ddot, alpha_dot,
+                 -k_pa * (alpha - alpha_bar) - k_da * alpha_dot, 0.0, 0.0)
+    else:
+        # PD attitude torque, damping on the measured pitch rate
+        u2 = -j_uav * (k_pt * (theta - theta_c) + k_dt * theta_dot)
+        heading = alpha + theta
+        tension = (mr * alpha_dot ** 2 - mg * sin_a
+                   + u1 * sin(heading) - m * r_ddot)
+        deriv = (r_dot, r_ddot, alpha_dot,
+                 -coriolis / r + u1 * cos(heading) / mr,
+                 theta_dot, u2 / j_uav)
+    return (deriv, (u1, u2, winch * r_ddot - rho * tension), tension,
+            (u_t, u_alpha, theta_c))
+
+
+def evaluate(state: FullState, sp: Setpoint, g: GainConfig, p: PlantParams,
+             ideal_attitude: bool = False
+             ) -> tuple[StateDerivative, ControlInputs, float, ControlDiagnostics]:
+    """One closed-loop evaluation with named fields, for callers outside the
+    integrator: :func:`closed_loop_rhs` at ``state`` and setpoint ``sp``."""
+    deriv, inputs, tension_value, diag = closed_loop_rhs(
+        state.as_tuple(), closed_loop(sp, g, p, ideal_attitude))
+    return (StateDerivative(*deriv), ControlInputs(*inputs), tension_value,
+            ControlDiagnostics(*diag))

@@ -76,8 +76,6 @@ class WaypointPlan:
 
     waypoints: tuple[Waypoint, ...]
     min_radii: tuple[float, float]
-    # per waypoint (alpha_bar, theta_bar, dx_alpha**2, dx_theta**2)
-    balls: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.waypoints:
@@ -85,9 +83,6 @@ class WaypointPlan:
         s_values = [w.s for w in self.waypoints]
         if any(b <= a for a, b in zip(s_values, s_values[1:])):
             raise ValueError("path parameters must increase along the chain")
-        object.__setattr__(self, "balls", tuple(
-            (w.sp.alpha_bar, w.sp.theta_bar, w.dx_alpha ** 2, w.dx_theta ** 2)
-            for w in self.waypoints))
 
 
 @dataclass(slots=True)
@@ -165,6 +160,16 @@ def ball_radii(sp: Setpoint, g: GainConfig, p: PlantParams,
     return _radii_for_tension(t_bar, g, p, cert, r_env)
 
 
+def switch_ready(y: Sequence[float], next_wp: Waypoint) -> bool:
+    """True when the measured errors of the state ``y`` lie inside the next
+    waypoint's ball."""
+    _, _, alpha, alpha_dot, theta, theta_dot = y
+    return ((alpha - next_wp.sp.alpha_bar) ** 2 + alpha_dot ** 2
+            <= next_wp.dx_alpha ** 2
+            and (theta - next_wp.sp.theta_bar) ** 2 + theta_dot ** 2
+            <= next_wp.dx_theta ** 2)
+
+
 def governor_step(y: Sequence[float], plan: WaypointPlan, gs: GovernorState,
                   t: float = 0.0) -> GovernorState:
     """Advance the supervisor to the most final waypoint whose ball admits
@@ -177,12 +182,8 @@ def governor_step(y: Sequence[float], plan: WaypointPlan, gs: GovernorState,
     reference change is recorded.  The index never increases."""
     if not 0 <= gs.active_index < len(plan.waypoints):
         raise ValueError(f"active_index {gs.active_index} outside the plan")
-    _, _, alpha, alpha_dot, theta, theta_dot = y
-    balls = plan.balls
     for k in range(gs.active_index):
-        alpha_bar, theta_bar, dx_alpha_sq, dx_theta_sq = balls[k]
-        if ((alpha - alpha_bar) ** 2 + alpha_dot ** 2 <= dx_alpha_sq
-                and (theta - theta_bar) ** 2 + theta_dot ** 2 <= dx_theta_sq):
+        if switch_ready(y, plan.waypoints[k]):
             return GovernorState(active_index=k,
                                  switch_times=gs.switch_times + [t])
     return gs

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import GainConfig, closed_loop
+from .control import GainConfig, closed_loop, closed_loop_rhs
 from .equilibria import Setpoint
 from .governor import GovernorState, WaypointPlan, governor_step
 from .plant import FullState, PlantParams, rk4_step, wrap_angle
@@ -107,7 +107,6 @@ class TrajectoryLog:
     theta_c: np.ndarray
     waypoint: np.ndarray
     events: SimEvents
-    stage_tension_min: float = math.nan  # over every RK4 stage too [N]
 
     COLUMNS = ("t", "r", "r_dot", "alpha", "alpha_dot", "theta", "theta_dot",
                "u1", "u2", "u3", "T", "theta_c", "waypoint")
@@ -154,8 +153,8 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
     dwell_steps = int(round(cfg.convergence_dwell / dt))
     y = cfg.initial.as_tuple()
     prev_theta_c: float | None = None
-    ref = rhs = None
-    stage_min = math.inf
+    ref = law = None
+    rhs = closed_loop_rhs
 
     rows = array.array("d")  # the logged rows, 13 values each, back to back
     streak_start: int | None = None
@@ -164,11 +163,8 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
     first_violation: float | None = None
 
     def stage(t: float, y: list[float]) -> tuple[float, ...]:
-        nonlocal stage_min
-        deriv, _, _, _, tension_value, _ = rhs(y)
-        if tension_value < stage_min:
-            stage_min = tension_value
-        return deriv
+        # the RK4 stages hold the law applied at the step's start
+        return rhs(y, law)[0]
 
     for k in range(n_steps + 1):
         t = k * dt
@@ -181,11 +177,9 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
             wp_index = -1
         if sp is not ref:
             ref = sp
-            rhs = closed_loop(ref, g, p, ideal_attitude=ideal)
+            law = closed_loop(ref, g, p, ideal_attitude=ideal)
 
-        deriv, u1, u2, u3, tension_value, theta_c = rhs(y)
-        if tension_value < stage_min:
-            stage_min = tension_value
+        deriv, (u1, u2, u3), tension_value, (_, _, theta_c) = rhs(y, law)
 
         if ideal:
             theta_row = theta_c
@@ -230,7 +224,7 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
     )
     columns = np.frombuffer(rows).reshape(-1, 13).T.copy()
     return TrajectoryLog(*columns[:12], columns[12].astype(int),
-                         events=events, stage_tension_min=stage_min)
+                         events=events)
 
 
 @dataclass(frozen=True)

@@ -253,18 +253,14 @@ class TestErrorTerms:
     def test_prediction_matches_raw_tension_along_run(self, plant, gains,
                                                       no_rg_log, ref_setpoint):
         t_bar = tu.equilibrium_tension(ref_setpoint, plant)
-        rhs = tu.closed_loop(ref_setpoint, gains, plant)
         log = no_rg_log
         for i in range(0, len(log), 53):
             state = tu.FullState(log.r[i], log.r_dot[i], log.alpha[i],
                                  log.alpha_dot[i], log.theta[i], log.theta_dot[i])
-            _, u1, _, _, _, theta_c = rhs(state.as_tuple())
-            # the channels the recombined thrust applies
-            u_t = u1 * math.sin(state.alpha + theta_c)
-            u_alpha = u1 * math.cos(state.alpha + theta_c)
-            theta_err = state.theta - theta_c
+            diag = tu.evaluate(state, ref_setpoint, gains, plant)[3]
+            theta_err = state.theta - diag.theta_c
             _, _, t_pred = analysis.error_terms(state, t_bar, theta_err,
-                                                u_t, u_alpha, plant)
+                                                diag.u_t, diag.u_alpha, plant)
             assert t_pred == pytest.approx(log.tension[i], abs=1e-8)
 
 
@@ -288,8 +284,8 @@ def test_bound_matrix_is_not_transient_tight(plant, gains):
     """
     ref = tu.Setpoint(0.8, 2.2, -0.05)
     a_err0 = 0.05
-    state = (ref.r_bar, 0.0, ref.alpha_bar + a_err0, 0.0, 0.0, 0.0)
-    theta_c0 = tu.closed_loop(ref, gains, plant)(state)[5]
+    state = tu.FullState(ref.r_bar, 0.0, ref.alpha_bar + a_err0, 0.0, 0.0, 0.0)
+    theta_c0 = tu.evaluate(state, ref, gains, plant)[3].theta_c
     init = tu.FullState(ref.r_bar, 0.0, ref.alpha_bar + a_err0, 0.0,
                         theta_c0 + 0.01, 0.0)
     cfg = tu.SimConfig(mode=tu.ScenarioMode.INNER_NO_RG, t_final=4.0,

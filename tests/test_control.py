@@ -147,29 +147,28 @@ class TestOuterLoop:
         rng = np.random.default_rng(2)
         for _ in range(100):
             sp = sample_attainable(rng, gains.eps, plant)
-            state = (sp.r_bar, 0.0, sp.alpha_bar, 0.0, sp.theta_bar, 0.0)
-            _, u1, _, _, _, theta_c = tu.closed_loop(sp, gains, plant)(state)
+            state = tu.FullState(sp.r_bar, 0.0, sp.alpha_bar, 0.0,
+                                 sp.theta_bar, 0.0)
+            _, inputs, _, diag = tu.evaluate(state, sp, gains, plant)
             u_bar = tu.equilibrium_inputs(sp, plant)
-            assert u1 == pytest.approx(u_bar.u1, rel=1e-9)
-            assert theta_c == pytest.approx(sp.theta_bar, abs=1e-9)
+            assert inputs.u1 == pytest.approx(u_bar.u1, rel=1e-9)
+            assert diag.theta_c == pytest.approx(sp.theta_bar, abs=1e-9)
 
     def test_vertical_hover_geometry(self, plant, gains):
         sp = tu.Setpoint(1.0, math.pi / 2.0, 0.0)
-        state = (1.0, 0.0, math.pi / 2.0, 0.0, 0.0, 0.0)
-        _, u1, _, _, _, theta_c = tu.closed_loop(sp, gains, plant)(state)
-        u_alpha = u1 * math.cos(state[2] + theta_c)
-        assert u_alpha == pytest.approx(0.0, abs=1e-12)
-        assert theta_c == pytest.approx(0.0, abs=1e-12)
-        assert u1 == pytest.approx(gains.hover_tension + plant.m * plant.g, rel=1e-12)
+        state = tu.FullState(1.0, 0.0, math.pi / 2.0, 0.0, 0.0, 0.0)
+        _, inputs, _, diag = tu.evaluate(state, sp, gains, plant)
+        assert diag.u_alpha == pytest.approx(0.0, abs=1e-12)
+        assert diag.theta_c == pytest.approx(0.0, abs=1e-12)
+        assert inputs.u1 == pytest.approx(gains.hover_tension + plant.m * plant.g,
+                                          rel=1e-12)
 
     def test_tension_channel_positive(self, plant, gains):
         rng = np.random.default_rng(3)
         for _ in range(300):
             sp = sample_attainable(rng, gains.eps, plant)
-            state = random_state(rng)
-            _, u1, _, _, _, theta_c = tu.closed_loop(sp, gains, plant)(state)
-            # the tension channel the recombined thrust applies
-            u_t = u1 * math.sin(state[2] + theta_c)
+            state = tu.FullState(*random_state(rng))
+            u_t = tu.evaluate(state, sp, gains, plant)[3].u_t
             t_bar = tu.equilibrium_tension(sp, plant)
             assert u_t >= t_bar - plant.m * gains.lambda1 - 1e-12
             assert u_t > 0.0
@@ -178,13 +177,13 @@ class TestOuterLoop:
         rng = np.random.default_rng(4)
         for _ in range(300):
             sp = sample_attainable(rng, gains.eps, plant)
-            state = random_state(rng)
-            _, u1, _, _, _, theta_c = tu.closed_loop(sp, gains, plant)(state)
-            u_t, u_alpha = channels(state, sp, gains, plant)
-            assert u1 * math.cos(state[2] + theta_c) == pytest.approx(
-                u_alpha, abs=1e-10 * max(1.0, abs(u_alpha)))
-            assert u1 * math.sin(state[2] + theta_c) == pytest.approx(
-                u_t, abs=1e-10 * max(1.0, abs(u_t)))
+            state = tu.FullState(*random_state(rng))
+            _, inputs, _, diag = tu.evaluate(state, sp, gains, plant)
+            heading = state.alpha + diag.theta_c
+            assert inputs.u1 * math.cos(heading) == pytest.approx(
+                diag.u_alpha, abs=1e-10 * max(1.0, abs(diag.u_alpha)))
+            assert inputs.u1 * math.sin(heading) == pytest.approx(
+                diag.u_t, abs=1e-10 * max(1.0, abs(diag.u_t)))
 
     def test_precondition_violation_raises(self, plant):
         g = tu.GainConfig(lambda1=1.75, lambda2=3.0)  # t_bar/m = 1.722
@@ -195,20 +194,21 @@ class TestOuterLoop:
 
 class TestInnerLoop:
     def test_zero_error_zero_torque(self, plant, gains):
-        sp = tu.Setpoint(0.7, 0.5, 0.2)
-        rhs = tu.closed_loop(sp, gains, plant)
-        theta_c = rhs((1.0, 0.0, 0.5, 0.0, 0.0, 0.0))[5]
+        law = tu.closed_loop(tu.Setpoint(0.7, 0.5, 0.2), gains, plant)
+        theta_c = tu.closed_loop_rhs((1.0, 0.0, 0.5, 0.0, 0.0, 0.0), law)[3][2]
         # the command does not depend on the measured pitch
-        _, _, u2, _, _, theta_c2 = rhs((1.0, 0.0, 0.5, 0.0, theta_c, 0.0))
+        _, (_, u2, _), _, (_, _, theta_c2) = tu.closed_loop_rhs(
+            (1.0, 0.0, 0.5, 0.0, theta_c, 0.0), law)
         assert theta_c2 == theta_c
         assert u2 == 0.0
 
     def test_proportional_torque_value(self):
         p = tu.PlantParams(j_uav=0.015)
         g = tu.GainConfig(k_pt=200.0, zeta=0.9)
-        rhs = tu.closed_loop(tu.Setpoint(0.7, 0.5, 0.2), g, p)
-        theta_c = rhs((1.0, 0.0, 0.5, 0.0, 0.0, 0.0))[5]
-        _, _, u2, _, _, _ = rhs((1.0, 0.0, 0.5, 0.0, theta_c + 0.1, 0.0))
+        law = tu.closed_loop(tu.Setpoint(0.7, 0.5, 0.2), g, p)
+        theta_c = tu.closed_loop_rhs((1.0, 0.0, 0.5, 0.0, 0.0, 0.0), law)[3][2]
+        u2 = tu.closed_loop_rhs((1.0, 0.0, 0.5, 0.0, theta_c + 0.1, 0.0),
+                                law)[1][1]
         # torque = -J * k_pt * theta_err = -0.015 * 200 * 0.1
         assert u2 == pytest.approx(-0.3, rel=1e-12)
 
@@ -237,9 +237,10 @@ class TestClosedLoop:
         rng = np.random.default_rng(6)
         for _ in range(50):
             sp = sample_attainable(rng, gains.eps, plant)
-            state = (sp.r_bar, 0.0, sp.alpha_bar, 0.0, sp.theta_bar, 0.0)
-            deriv, _, _, _, t_val, _ = tu.closed_loop(sp, gains, plant)(state)
-            assert max(abs(v) for v in deriv) < 1e-9
+            state = tu.FullState(sp.r_bar, 0.0, sp.alpha_bar, 0.0,
+                                 sp.theta_bar, 0.0)
+            deriv, _, t_val, _ = tu.evaluate(state, sp, gains, plant)
+            assert max(abs(v) for v in deriv.as_tuple()) < 1e-9
             assert t_val == pytest.approx(tu.equilibrium_tension(sp, plant), rel=1e-9)
 
     def test_ideal_mode_tension_law(self, plant, gains, ideal_log):
@@ -267,8 +268,9 @@ class TestClosedLoop:
 
     def test_rejects_nonpositive_radius(self, plant, gains, ref_setpoint):
         state = (-0.1, 0.0, 0.5, 0.0, 0.0, 0.0)
+        law = tu.closed_loop(ref_setpoint, gains, plant)
         with pytest.raises(ValueError, match="r > 0"):
-            tu.closed_loop(ref_setpoint, gains, plant)(state)
+            tu.closed_loop_rhs(state, law)
 
     @pytest.mark.parametrize("ideal", [False, True])
     def test_kernel_matches_plant_model_and_winch_law(self, plant, gains,
@@ -284,14 +286,15 @@ class TestClosedLoop:
         for i in range(240):
             sp = setpoints[i % len(setpoints)]
             y = random_state(rng)
-            deriv, u1, u2, u3, t_val, theta_c = tu.closed_loop(
-                sp, gains, plant, ideal_attitude=ideal)(y)
+            deriv, (u1, u2, u3), t_val, (u_t, u_alpha, theta_c) = \
+                tu.closed_loop_rhs(y, tu.closed_loop(sp, gains, plant,
+                                                     ideal_attitude=ideal))
             # with the pitch pinned to its command the model sees theta_c
             state = tu.FullState(*y[:4], theta_c, 0.0) if ideal \
                 else tu.FullState(*y)
             r_ddot = control.radial_acceleration(y[0], y[1], sp.r_bar, gains)
             assert deriv[1] == r_ddot
-            u_t, u_alpha = channels(y, sp, gains, plant)
+            assert (u_t, u_alpha) == channels(y, sp, gains, plant)
             assert u1 == math.hypot(u_t, u_alpha)
             assert theta_c == math.pi / 2.0 - y[2] - math.atan2(u_alpha, u_t)
             assert u3 == control.ground_control(state, sp.r_bar, t_val,
@@ -325,12 +328,11 @@ def test_error_dynamics_equivalence(plant, gains, ref_setpoint, start_setpoint):
     red = (state.alpha - ref_setpoint.alpha_bar, 0.0)
     dt = 1e-3
     max_dev = 0.0
-    rhs = tu.closed_loop(ref_setpoint, gains, plant)
+    law = tu.closed_loop(ref_setpoint, gains, plant)
 
-    def reduced_rhs(red_state, full_state, theta_c):
+    def reduced_rhs(red_state, full_state, diag):
         a_err, a_dot = red_state
-        u_t, u_alpha = channels(full_state.as_tuple(), ref_setpoint, gains,
-                                plant)
+        u_t, u_alpha, theta_c = diag
         theta_err = full_state.theta - theta_c
         delta, _, _ = analysis.error_terms(full_state, t_bar, theta_err,
                                            u_t, u_alpha, plant)
@@ -343,8 +345,8 @@ def test_error_dynamics_equivalence(plant, gains, ref_setpoint, start_setpoint):
 
     def joint_rhs(t, y):
         # full closed loop (first six entries) beside the reduced form
-        d, _, _, _, _, theta_c = rhs(y[:6])
-        return d + reduced_rhs(y[6:], tu.FullState(*y[:6]), theta_c)
+        d, _, _, diag = tu.closed_loop_rhs(y[:6], law)
+        return d + reduced_rhs(y[6:], tu.FullState(*y[:6]), diag)
 
     y = state.as_tuple() + red
     for k in range(2000):

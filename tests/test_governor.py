@@ -141,28 +141,22 @@ class TestBacktrackPlan:
         assert len(plan.waypoints) == 1
 
 
-def admits(y, wp):
-    """True when the supervisor, tracking a waypoint behind ``wp``, switches
-    to ``wp`` from the state ``y``."""
-    behind = tu.Waypoint(wp.sp, s=1.0, dx_alpha=1e-9, dx_theta=1e-9)
-    plan = tu.WaypointPlan(waypoints=(wp, behind), min_radii=(1e-9, 1e-9))
-    return tu.governor_step(y, plan, tu.GovernorState(active_index=1)
-                            ).active_index == 0
-
-
 class TestSwitching:
     def test_ready_at_equilibrium(self):
         wp = tu.Waypoint(tu.Setpoint(1.0, 0.5, 0.2), s=0.0,
                          dx_alpha=0.1, dx_theta=0.05)
-        assert admits((1.0, 0.0, 0.5, 0.0, 0.2, 0.0), wp)
+        state = (1.0, 0.0, 0.5, 0.0, 0.2, 0.0)
+        assert tu.switch_ready(state, wp)
 
     def test_rate_term_blocks(self):
         wp = tu.Waypoint(tu.Setpoint(1.0, 0.5, 0.2), s=0.0,
                          dx_alpha=0.1, dx_theta=0.05)
-        assert not admits((1.0, 0.0, 0.5, 0.2, 0.2, 0.0), wp)  # alpha_dot too big
-        assert not admits((1.0, 0.0, 0.5, 0.0, 0.2, 0.06), wp)  # theta_dot too big
+        state = (1.0, 0.0, 0.5, 0.2, 0.2, 0.0)  # alpha_dot too big
+        assert not tu.switch_ready(state, wp)
+        state2 = (1.0, 0.0, 0.5, 0.0, 0.2, 0.06)  # theta_dot too big
+        assert not tu.switch_ready(state2, wp)
         # each ball is closed: a state on its rim is admitted
-        assert admits((1.0, 0.0, 0.5, 0.0, 0.2, 0.05), wp)
+        assert tu.switch_ready((1.0, 0.0, 0.5, 0.0, 0.2, 0.05), wp)
 
     def test_becomes_ready_in_finite_time(self, plant, gains,
                                           default_certificate):
@@ -179,9 +173,9 @@ class TestSwitching:
                                start.r_bar, start.alpha_bar, start.theta_bar),
                            reference=active.sp)
         log = tu.run_scenario(cfg, gains, plant)
-        ready = [admits((log.r[i], log.r_dot[i], log.alpha[i],
-                         log.alpha_dot[i], log.theta[i], log.theta_dot[i]),
-                        target) for i in range(len(log))]
+        ready = [tu.switch_ready(
+            (log.r[i], log.r_dot[i], log.alpha[i], log.alpha_dot[i],
+             log.theta[i], log.theta_dot[i]), target) for i in range(len(log))]
         assert any(ready)
 
     def test_governor_jumps_to_final_from_inside(self, plant, gains,

@@ -1,5 +1,6 @@
 """Integrator correctness, scenario runs, event detection, invariant monitor."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -96,14 +97,29 @@ class TestScenarios:
         expected = round(log.t[idx] + frac * 1e-3, 4)
         assert log.events.first_tension_violation == expected
 
-    def test_taut_cable_checked_at_every_rk4_stage(self, rg_bundle,
-                                                   no_rg_log):
-        """The stage minimum covers the logged rows and dips below them."""
-        log = rg_bundle[3]
-        assert 0.0 < log.stage_tension_min <= log.tension.min()
-        assert log.stage_tension_min == pytest.approx(1.59388, abs=1e-5)
+    def test_cable_taut_at_every_rk4_stage_of_governed_run(
+            self, default_bundle, rg_bundle, monkeypatch):
+        """The tension stays positive between the logged rows too: its
+        minimum over every RK4 stage dips only just below the logged one."""
+        p, g, cfg = default_bundle
+        plan, _, _, log = rg_bundle
+        real_rhs = sim.closed_loop_rhs
+        stage_tensions = []
+
+        def recording(y, law):
+            out = real_rhs(y, law)
+            stage_tensions.append(out[2])
+            return out
+
+        monkeypatch.setattr(sim, "closed_loop_rhs", recording)
+        again = tu.run_scenario(
+            dataclasses.replace(cfg, mode=tu.ScenarioMode.INNER_WITH_RG,
+                                t_final=30.0), g, p, plan=plan)
+        assert np.array_equal(again.tension, log.tension)
+        assert len(stage_tensions) == 4 * (len(log) - 1) + 1
+        assert 0.0 < min(stage_tensions) <= log.tension.min()
+        assert min(stage_tensions) == pytest.approx(1.59388, abs=1e-5)
         assert log.tension.min() == pytest.approx(1.59390, abs=1e-5)
-        assert no_rg_log.stage_tension_min <= no_rg_log.tension.min() < 0.0
 
     def test_log_grid_uniform(self, ideal_log):
         dt = np.diff(ideal_log.t)
@@ -164,23 +180,19 @@ class TestScenarios:
 
     def test_non_finite_rhs_raises_diverged_with_time(self, plant, gains,
                                                       monkeypatch):
-        real_closed_loop = sim.closed_loop
+        real_rhs = sim.closed_loop_rhs
         calls = []
 
-        def closed_loop(*args, **kwargs):
-            real_rhs = real_closed_loop(*args, **kwargs)
+        def blows_up(y, law):
+            # four evaluations a step: call 402 is the second RK4 stage of
+            # the step from t = 0.100 to t = 0.101
+            calls.append(y)
+            if len(calls) < 402:
+                return real_rhs(y, law)
+            return ((math.nan,) * 6, (math.nan,) * 3, math.nan,
+                    (math.nan,) * 3)
 
-            def blows_up(y):
-                # four evaluations a step: call 402 is the second RK4 stage
-                # of the step from t = 0.100 to t = 0.101
-                calls.append(y)
-                if len(calls) < 402:
-                    return real_rhs(y)
-                return ((math.nan,) * 6,) + (math.nan,) * 5
-
-            return blows_up
-
-        monkeypatch.setattr(sim, "closed_loop", closed_loop)
+        monkeypatch.setattr(sim, "closed_loop_rhs", blows_up)
         cfg = tu.SimConfig(t_final=1.0, mode=tu.ScenarioMode.INNER_NO_RG)
         with pytest.raises(SimulationDiverged,
                            match=r"non-finite state at t=0\.101"):
