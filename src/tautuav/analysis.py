@@ -23,6 +23,7 @@ Everything here turns the closed-loop structure into checkable numbers:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,29 +177,37 @@ def gamma_in_l1(g: GainConfig, t_horizon: float | None = None,
     exp(-q*zeta*s)`` with ``q = sqrt(k_pt)`` and ``w = q*sqrt(1-zeta^2)`` by
     composite Simpson quadrature on [0, t_horizon].  The geometric tail
     bound ``exp(-q*zeta*t_horizon)/(q*zeta)`` is added to the result so the
-    truncation error is accounted for rather than dropped.
+    truncation error is accounted for rather than dropped.  The value
+    depends only on ``k_pt``, ``zeta`` and the grid, and is cached on them.
     """
-    q = math.sqrt(g.k_pt)
-    w = q * math.sqrt(1.0 - g.zeta ** 2)
     if t_horizon is None:
-        t_horizon = 40.0 / (g.zeta * q)
+        t_horizon = 40.0 / (g.zeta * math.sqrt(g.k_pt))
     if dt is None:
         dt = t_horizon / 2e5
     if t_horizon <= 0.0:
         raise ValueError(f"t_horizon must be positive, got {t_horizon}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    return _impulse_l1(g.k_pt, g.zeta, t_horizon, dt)
+
+
+@functools.lru_cache(maxsize=256)
+def _impulse_l1(k_pt: float, zeta: float, t_horizon: float,
+                dt: float) -> float:
+    """The quadrature of :func:`gamma_in_l1` on a checked grid."""
+    q = math.sqrt(k_pt)
+    w = q * math.sqrt(1.0 - zeta ** 2)
     n = max(2, int(round(t_horizon / dt)))
     if n % 2:
         n += 1
     s = np.linspace(0.0, t_horizon, n + 1)
     f = (np.abs(np.cos(w * s)
-                - (g.zeta / math.sqrt(1.0 - g.zeta ** 2)) * np.sin(w * s))
-         * np.exp(-q * g.zeta * s))
+                - (zeta / math.sqrt(1.0 - zeta ** 2)) * np.sin(w * s))
+         * np.exp(-q * zeta * s))
     h = t_horizon / n
     integral = (h / 3.0) * (f[0] + f[-1]
                             + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
-    tail = math.exp(-q * g.zeta * t_horizon) / (q * g.zeta)
+    tail = math.exp(-q * zeta * t_horizon) / (q * zeta)
     return float(integral + tail)
 
 

@@ -72,10 +72,17 @@ class Waypoint:
 
 @dataclass(frozen=True, slots=True)
 class WaypointPlan:
-    """Ordered waypoint chain; index 0 is the final reference."""
+    """Ordered waypoint chain; index 0 is the final reference.
+
+    ``rate_bounds`` is ``(max dx_alpha**2, max dx_theta**2)`` over the
+    chain: a squared elevation or pitch rate above its bound puts a state
+    outside every ball, whatever its angle errors.
+    """
 
     waypoints: tuple[Waypoint, ...]
     min_radii: tuple[float, float]
+    rate_bounds: tuple[float, float] = field(init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self) -> None:
         if not self.waypoints:
@@ -83,6 +90,10 @@ class WaypointPlan:
         s_values = [w.s for w in self.waypoints]
         if any(b <= a for a, b in zip(s_values, s_values[1:])):
             raise ValueError("path parameters must increase along the chain")
+        # the squares as switch_ready computes them
+        object.__setattr__(self, "rate_bounds", (
+            max(w.dx_alpha ** 2 for w in self.waypoints),
+            max(w.dx_theta ** 2 for w in self.waypoints)))
 
 
 @dataclass(slots=True)
@@ -179,9 +190,16 @@ def governor_step(y: Sequence[float], plan: WaypointPlan, gs: GovernorState,
     supervisor may skip any number of intermediate waypoints at once (a
     state already inside the final reference's ball jumps straight to it).
     The applied reference stays piecewise constant; the instant of each
-    reference change is recorded.  The index never increases."""
+    reference change is recorded.  The index never increases.
+
+    A rate whose square exceeds its bound in ``plan.rate_bounds`` skips the
+    scan: adding a non-negative square cannot lower a rounded sum, so no
+    ball would admit the state."""
     if not 0 <= gs.active_index < len(plan.waypoints):
         raise ValueError(f"active_index {gs.active_index} outside the plan")
+    alpha_rate_bound, theta_rate_bound = plan.rate_bounds
+    if y[3] ** 2 > alpha_rate_bound or y[5] ** 2 > theta_rate_bound:
+        return gs
     for k in range(gs.active_index):
         if switch_ready(y, plan.waypoints[k]):
             return GovernorState(active_index=k,

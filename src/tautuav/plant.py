@@ -23,9 +23,11 @@ and the model is only physically valid while ``T > 0`` (a cable cannot
 push).  All functions here are pure evaluations; interpreting the sign of
 ``T`` is left to the callers that monitor the constraint.
 
-The package's one fixed-step integrator, :func:`rk4_step`, lives here too,
-so that every layer that integrates (simulation, gain analysis) can reach
-it without importing the simulator.
+The package's one generic fixed-step integrator, :func:`rk4_step`, lives
+here too, so that the gain analysis can reach it without importing the
+simulator.  The simulator steps with its own six-state copy,
+:func:`tautuav.sim.closed_loop_rk4_step`, which is tested equal to
+:func:`rk4_step` bit for bit.
 """
 
 from __future__ import annotations

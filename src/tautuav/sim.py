@@ -4,8 +4,10 @@ Three closed-loop flavours are supported: ideal attitude (the pitch equals
 its command instantly and only the radial/elevation states evolve), the
 real attitude loop driven directly by the far reference, and the real loop
 supervised by a waypoint governor.  Integration is classical fourth-order
-Runge-Kutta at a fixed step (:func:`tautuav.plant.rk4_step`), which makes
-runs bit-reproducible and event times stable.
+Runge-Kutta at a fixed step, which makes runs bit-reproducible and event
+times stable.  The flight takes its steps with :func:`closed_loop_rk4_step`,
+the generic :func:`tautuav.plant.rk4_step` written out over the six state
+entries; the two are tested equal bit for bit.
 
 Each step logs the full state, the applied inputs, the cable tension, and
 the commanded pitch.  Event detection runs on the logged samples: the first
@@ -29,7 +31,7 @@ import numpy as np
 from .control import GainConfig, closed_loop, closed_loop_rhs
 from .equilibria import Setpoint
 from .governor import GovernorState, WaypointPlan, governor_step
-from .plant import FullState, PlantParams, rk4_step, wrap_angle
+from .plant import FullState, PlantParams, wrap_angle
 
 
 class SimulationDiverged(RuntimeError):
@@ -127,13 +129,46 @@ def _six_state_error(row_state: tuple[float, ...], ref: Setpoint) -> float:
                      + (theta - ref.theta_bar) ** 2 + theta_dot ** 2)
 
 
+def closed_loop_rk4_step(y: tuple[float, ...], deriv: tuple[float, ...],
+                         law: tuple, dt: float) -> tuple[float, ...]:
+    """One RK4 step of the closed loop under ``law`` from the six floats
+    ``y``, whose derivative ``deriv`` the caller has already evaluated.
+
+    :func:`tautuav.plant.rk4_step` written out entry by entry: the same
+    float operations in the same order, so the two agree bit for bit.  The
+    stages call :func:`closed_loop_rhs` through this module's global, so a
+    wrapper put on ``sim.closed_loop_rhs`` sees every stage.
+    """
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    y0, y1, y2, y3, y4, y5 = y
+    a0, a1, a2, a3, a4, a5 = deriv
+    b0, b1, b2, b3, b4, b5 = closed_loop_rhs(
+        (y0 + half * a0, y1 + half * a1, y2 + half * a2,
+         y3 + half * a3, y4 + half * a4, y5 + half * a5), law)[0]
+    c0, c1, c2, c3, c4, c5 = closed_loop_rhs(
+        (y0 + half * b0, y1 + half * b1, y2 + half * b2,
+         y3 + half * b3, y4 + half * b4, y5 + half * b5), law)[0]
+    d0, d1, d2, d3, d4, d5 = closed_loop_rhs(
+        (y0 + dt * c0, y1 + dt * c1, y2 + dt * c2,
+         y3 + dt * c3, y4 + dt * c4, y5 + dt * c5), law)[0]
+    return (y0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+            y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+            y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+            y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5))
+
+
 def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
                  plan: WaypointPlan | None = None) -> TrajectoryLog:
     """Integrate one closed-loop scenario and log every step.
 
     Governed runs require ``plan``; the supervisor is re-evaluated at every
-    step, so reference switches land on the step grid and the applied
-    reference is piecewise constant, held through the step's RK4 stages.
+    step until it reaches the final reference (index 0, where no ball is
+    left to test), so reference switches land on the step grid and the
+    applied reference is piecewise constant, held through the step's RK4
+    stages.
     """
     mode = cfg.mode
     ideal = mode is ScenarioMode.IDEAL_ATTITUDE
@@ -154,7 +189,6 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
     y = cfg.initial.as_tuple()
     prev_theta_c: float | None = None
     ref = law = None
-    rhs = closed_loop_rhs
 
     rows = array.array("d")  # the logged rows, 13 values each, back to back
     streak_start: int | None = None
@@ -162,14 +196,11 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
     prev_tension: float | None = None
     first_violation: float | None = None
 
-    def stage(t: float, y: list[float]) -> tuple[float, ...]:
-        # the RK4 stages hold the law applied at the step's start
-        return rhs(y, law)[0]
-
     for k in range(n_steps + 1):
         t = k * dt
         if gs is not None:
-            gs = governor_step(y, plan, gs, t)
+            if gs.active_index:
+                gs = governor_step(y, plan, gs, t)
             wp_index = gs.active_index
             sp = plan.waypoints[wp_index].sp
         else:
@@ -179,7 +210,8 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
             ref = sp
             law = closed_loop(ref, g, p, ideal_attitude=ideal)
 
-        deriv, (u1, u2, u3), tension_value, (_, _, theta_c) = rhs(y, law)
+        deriv, (u1, u2, u3), tension_value, (_, _, theta_c) = \
+            closed_loop_rhs(y, law)
 
         if ideal:
             theta_row = theta_c
@@ -213,7 +245,7 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
         if k == n_steps:
             break
 
-        y = rk4_step(stage, t, y, dt, k1=deriv)
+        y = closed_loop_rk4_step(y, deriv, law, dt)
         if not all(map(math.isfinite, y)):
             raise SimulationDiverged(f"non-finite state at t={t + dt}: {y}")
 

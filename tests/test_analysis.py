@@ -1,5 +1,6 @@
 """Certification math: envelopes, restrictions, gains, small-gain bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -166,6 +167,23 @@ class TestInnerGain:
         g2 = tu.GainConfig(k_pt=400.0, zeta=0.6)
         assert tu.gamma_in_l1(g2) == pytest.approx(tu.gamma_in_l1(g1) / 2.0,
                                                    rel=1e-6)
+
+    def test_l1_cached_on_stiffness_damping_and_grid(self):
+        analysis._impulse_l1.cache_clear()
+        g = tu.GainConfig()
+        first = tu.gamma_in_l1(g)
+        assert analysis._impulse_l1.cache_info().misses == 1
+        assert tu.gamma_in_l1(g) == first
+        assert tu.gamma_in_l1(dataclasses.replace(g, gamma_out=1.5)) == first
+        assert analysis._impulse_l1.cache_info().hits == 2
+        for other in (dataclasses.replace(g, zeta=0.8),
+                      dataclasses.replace(g, k_pt=300.0)):
+            misses = analysis._impulse_l1.cache_info().misses
+            value = tu.gamma_in_l1(other)
+            assert analysis._impulse_l1.cache_info().misses == misses + 1
+            assert value != first
+            assert value == pytest.approx(tv_gamma_in(other.zeta, other.k_pt),
+                                          rel=1e-5)
 
     def test_l1_rejects_bad_quadrature_args(self, gains):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Waypoint governor: ball radii, backtracking chains, switching supervisor."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -201,6 +202,66 @@ class TestSwitching:
         gs2 = tu.governor_step(state, plan, gs, t=0.0)
         assert gs2.active_index == len(plan.waypoints) - 1
         assert gs2.switch_times == []
+
+
+    @pytest.mark.parametrize("widest_first", [False, True])
+    def test_rate_prefilter_matches_plain_scan(self, rg_bundle, widest_first):
+        """States on, just inside and just outside the ball rims, and pure
+        rates on the plan's largest radii: the supervisor, whose rate
+        prefilter skips the scan, agrees with a plain scan of the balls.
+        The reference plan's largest balls are at its far end, where no
+        scan reaches; with the radii reversed they are at the final
+        reference, where every scan does."""
+        plan = rg_bundle[0]
+        if widest_first:
+            wps = plan.waypoints
+            plan = tu.WaypointPlan(tuple(
+                dataclasses.replace(w, dx_alpha=v.dx_alpha, dx_theta=v.dx_theta)
+                for w, v in zip(wps, wps[::-1])), plan.min_radii)
+        wps = plan.waypoints
+        assert plan.rate_bounds == (max(w.dx_alpha ** 2 for w in wps),
+                                    max(w.dx_theta ** 2 for w in wps))
+        rng = np.random.default_rng(5)
+        scales = (0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5)
+        states = []
+        for _ in range(3000):
+            w = wps[int(rng.integers(len(wps)))]
+            sa, st = rng.choice(scales, 2)
+            pa, pt = rng.uniform(0.0, 2.0 * math.pi, 2)
+            states.append((
+                w.sp.r_bar, 0.0,
+                w.sp.alpha_bar + sa * w.dx_alpha * math.cos(pa),
+                sa * w.dx_alpha * math.sin(pa),
+                w.sp.theta_bar + st * w.dx_theta * math.cos(pt),
+                st * w.dx_theta * math.sin(pt)))
+        wide_a = max(wps, key=lambda w: w.dx_alpha)
+        wide_t = max(wps, key=lambda w: w.dx_theta)
+        for sign in (1.0, -1.0):
+            for scale in scales:
+                states.append((wide_a.sp.r_bar, 0.0, wide_a.sp.alpha_bar,
+                               sign * scale * wide_a.dx_alpha,
+                               wide_a.sp.theta_bar, 0.0))
+                states.append((wide_t.sp.r_bar, 0.0, wide_t.sp.alpha_bar,
+                               0.0, wide_t.sp.theta_bar,
+                               sign * scale * wide_t.dx_theta))
+        outcomes = {"filtered": 0, "switched": 0, "held": 0}
+        for y in states:
+            i = int(rng.integers(1, len(wps)))
+            gs = tu.GovernorState(active_index=i, switch_times=[0.5])
+            got = tu.governor_step(y, plan, gs, t=1.0)
+            want = next((k for k in range(i) if tu.switch_ready(y, wps[k])),
+                        None)
+            if want is None:
+                assert got is gs
+                outcomes["held"] += 1
+            else:
+                assert got.active_index == want
+                assert got.switch_times == [0.5, 1.0]
+                outcomes["switched"] += 1
+            if (y[3] ** 2 > plan.rate_bounds[0]
+                    or y[5] ** 2 > plan.rate_bounds[1]):
+                outcomes["filtered"] += 1
+        assert min(outcomes.values()) > 100
 
 
 class TestGovernedRun:

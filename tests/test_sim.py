@@ -10,6 +10,8 @@ import tautuav as tu
 from tautuav import sim
 from tautuav.sim import SimEvents, SimulationDiverged
 
+from conftest import sample_attainable
+
 
 class TestRK4:
     def test_fixed_point(self):
@@ -71,6 +73,52 @@ class TestRK4:
         assert (tu.rk4_step(rhs, 0.0, y, 0.1, k1=rhs(0.0, y))
                 == tu.rk4_step(rhs, 0.0, y, 0.1))
         assert calls == [0.0, 0.05, 0.05, 0.1, 0.0, 0.05, 0.05, 0.1]
+
+
+class TestClosedLoopStep:
+    @staticmethod
+    def states(rng, sp, g):
+        """Random states, then states on both kinks of each saturation of
+        the winch law and deep in both saturated corners."""
+        for _ in range(20):
+            yield (float(rng.uniform(0.3, 1.5)), float(rng.uniform(-0.2, 0.2)),
+                   float(rng.uniform(0.0, math.pi)), float(rng.uniform(-5, 5)),
+                   float(rng.uniform(-1, 1)), float(rng.uniform(-3, 3)))
+        angles = tuple(float(v) for v in rng.uniform(-1.0, 1.0, 4))
+        for sign in (1.0, -1.0):
+            r = sp.r_bar + sign * g.lambda2 / g.k_pr  # inner kink
+            if r > 0.0:
+                yield (r, 0.0) + angles
+                # outer kink: k_dr*r_dot +- lambda2 = +-lambda1
+                yield (r, sign * (g.lambda1 - g.lambda2) / g.k_dr) + angles
+            yield (sp.r_bar + sign * 2.0, sign * 1.0) + angles
+            yield (sp.r_bar + sign * 2.0, -sign * 1.0) + angles
+
+    @pytest.mark.parametrize("ideal", [False, True])
+    def test_equals_generic_rk4_bit_for_bit(self, plant, gains, ideal):
+        """The simulator's unrolled step is plant.rk4_step, bit for bit."""
+        rng = np.random.default_rng(11 + ideal)
+        setpoints = [tu.Setpoint(0.8, math.pi / 2.0, 0.0)]  # vertical hover
+        setpoints += [sample_attainable(rng, gains.eps, plant)
+                      for _ in range(14)]
+        checked = 0
+        for sp in setpoints:
+            law = tu.closed_loop(sp, gains, plant, ideal_attitude=ideal)
+            states = list(self.states(rng, sp, gains))
+            if sp.alpha_bar == math.pi / 2.0:
+                states.append((sp.r_bar, 0.0, sp.alpha_bar, 0.0,
+                               sp.theta_bar, 0.0))
+            for y in states:
+                if not y[0] > 0.0:
+                    continue
+                for dt in (1e-3, 5e-4, 0.01, 0.05):
+                    deriv = tu.closed_loop_rhs(y, law)[0]
+                    want = tu.rk4_step(
+                        lambda t, yy: tu.closed_loop_rhs(yy, law)[0],
+                        0.0, y, dt)
+                    assert sim.closed_loop_rk4_step(y, deriv, law, dt) == want
+                    checked += 1
+        assert checked >= 200 * 4
 
 
 class TestScenarios:
