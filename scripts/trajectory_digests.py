@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of the trajectories a checkout flies.
+
+Covers the three reference experiments (as scripts/run_experiments.py runs
+them, from configs/default.cfg) and the governed missions the benchmark
+draws for seeds 0 and 1.  Each line names one flight and gives four
+digests: every logged column, the detected events, the waypoint plan and
+the invariant monitor's rows.  Run it in two checkouts and ``diff`` the
+outputs to show that a change leaves every trajectory bit-identical:
+
+    python3 scripts/trajectory_digests.py > after.txt
+"""
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np
+
+import tautuav as tu
+from perfbench.workloads import (MISSION_T_FINAL, MISSIONS_PER_PASS,
+                                 REFERENCE_RG_T_FINAL, sample_missions)
+from tautuav.cli import parse_config, simulate
+
+SEEDS = (0, 1)
+
+
+def sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def line(name: str, p, g, cfg) -> str:
+    log, report, plan = simulate(p, g, cfg)
+    monitor = [[c.name, c.passed, c.first_failure_time] for c in report.checks]
+    return (f"{name} columns={sha(*log.columns())} events={sha(log.events)} "
+            f"plan={sha(plan)} monitor={sha(monitor)}")
+
+
+def main() -> int:
+    p, g, base = parse_config((ROOT / "configs" / "default.cfg").read_text())
+    for mode in tu.ScenarioMode:
+        cfg = dataclasses.replace(base, mode=mode)
+        if mode is tu.ScenarioMode.INNER_WITH_RG:
+            cfg = dataclasses.replace(cfg, t_final=REFERENCE_RG_T_FINAL)
+        print(line(mode.value, p, g, cfg), flush=True)
+    for seed in SEEDS:
+        for i, (start, final) in enumerate(
+                sample_missions(seed, MISSIONS_PER_PASS, g.eps, p)):
+            cfg = dataclasses.replace(
+                base, mode=tu.ScenarioMode.INNER_WITH_RG,
+                t_final=MISSION_T_FINAL,
+                initial=tu.FullState.initial(start.r_bar, start.alpha_bar,
+                                             start.theta_bar),
+                reference=final)
+            print(line(f"seed-{seed}-mission-{i}", p, g, cfg), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,8 +9,8 @@ from .control import (ControlDiagnostics, GainConfig, closed_loop,
 from .equilibria import (PathSpec, Setpoint, equilibrium_inputs,
                          equilibrium_tension, interpolate_path, is_attainable,
                          theta_limit)
-from .governor import (GovernorState, Waypoint, WaypointPlan, backtrack_plan,
-                       ball_radii, governor_step, min_radii, switch_ready)
+from .governor import (Waypoint, WaypointPlan, backtrack_plan, ball_radii,
+                       governor_step, min_radii, switch_ready)
 from .plant import (ControlInputs, FullState, PlantParams, StateDerivative,
                     resolve_taut_coupling, rk4_step, taut_rhs, tension)
 from .sim import (MonitorReport, ScenarioMode, SimConfig, TrajectoryLog,
@@ -18,7 +18,7 @@ from .sim import (MonitorReport, ScenarioMode, SimConfig, TrajectoryLog,
 
 __all__ = [
     "ControlDiagnostics", "ControlInputs", "FullState",
-    "GainCertificate", "GainConfig", "GovernorState", "MonitorReport",
+    "GainCertificate", "GainConfig", "MonitorReport",
     "PathSpec", "PlantParams", "RadialEnvelope", "ScenarioMode", "Setpoint",
     "SimConfig", "StateDerivative", "TrajectoryLog", "Waypoint",
     "WaypointPlan", "backtrack_plan", "ball_radii", "closed_loop",

@@ -50,29 +50,22 @@ _PI_EXPR = re.compile(
     r"^(?P<sign>[+-]?)pi(?:\*(?P<num>[0-9]+(?:\.[0-9]*)?))?"
     r"(?:/(?P<den>[0-9]+(?:\.[0-9]*)?))?$")
 
-_PLANT_KEYS = ("m", "j_uav", "i_winch", "rho", "g")
-_GAIN_KEYS = ("k_pr", "k_pa", "k_pt", "zeta", "k_dr", "k_da", "k_dt",
-              "lambda1", "lambda2", "eps", "nu", "theta_tilde_max",
-              "gamma_out", "hover_tension")
-_STATE_KEYS = ("r0", "r_dot0", "alpha0", "alpha_dot0", "theta0", "theta_dot0")
-_REF_KEYS = ("r_bar", "alpha_bar", "theta_bar")
-_SIM_KEYS = ("dt", "t_final", "mode", "convergence_tol", "convergence_dwell",
-             "tension_min")
-
-# config key -> (bundle part, attribute); see _parts for the parts.  A state
-# key is the FullState field name with a '0' suffix.
-_FIELDS: dict[str, tuple[str, str]] = {
-    **{k: ("plant", k) for k in _PLANT_KEYS},
-    **{k: ("gains", k) for k in _GAIN_KEYS},
-    **{k: ("initial", k[:-1]) for k in _STATE_KEYS},
-    **{k: ("reference", k) for k in _REF_KEYS},
-    **{k: ("sim", k) for k in _SIM_KEYS},
-}
-
-
 # gains GainConfig derives -> their formula; a configured value must match it
 _TIED = {"k_dr": "2*sqrt(k_pr) (critically damped radial loop)",
          "k_dt": "2*zeta*sqrt(k_pt)"}
+
+# config key -> (bundle part, attribute); see _parts for the parts.  The keys
+# are the dataclass field names; a state key is the FullState field name
+# with a '0' suffix, and the sim keys leave out the nested state and setpoint.
+_FIELDS: dict[str, tuple[str, str]] = {
+    **{f.name: ("plant", f.name) for f in dataclasses.fields(PlantParams)},
+    **{f.name: ("gains", f.name) for f in dataclasses.fields(GainConfig)},
+    **{k: ("gains", k) for k in _TIED},
+    **{f.name + "0": ("initial", f.name) for f in dataclasses.fields(FullState)},
+    **{f.name: ("reference", f.name) for f in dataclasses.fields(Setpoint)},
+    **{f.name: ("sim", f.name) for f in dataclasses.fields(SimConfig)
+       if f.name not in ("initial", "reference")},
+}
 
 
 def _parts(p: PlantParams, g: GainConfig, cfg: SimConfig) -> dict[str, object]:
@@ -394,8 +387,6 @@ def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="config file (defaults apply when omitted)")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized validation sampling")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -417,6 +408,8 @@ def main(argv: list[str] | None = None) -> int:
                              "the configured value")
     plan_p.add_argument("--validate-samples", type=int, default=0,
                         help="additionally certify N random path points per segment")
+    plan_p.add_argument("--seed", type=int, default=0,
+                        help="seed for the --validate-samples points")
 
     cert_p = subs.add_parser("certify", help="print the gain certificate report")
     _add_common(cert_p)

@@ -92,9 +92,9 @@ class GainConfig:
         if not self.lambda2 > self.lambda1:
             raise ValueError(f"lambda2 must exceed lambda1, got "
                              f"lambda2={self.lambda2} <= lambda1={self.lambda1}")
-        if self.eps < 0.0:
+        if not self.eps >= 0.0:
             raise ValueError(f"eps must be non-negative, got {self.eps}")
-        if self.gamma_out < 0.0:
+        if not self.gamma_out >= 0.0:
             raise ValueError(f"gamma_out must be non-negative, got {self.gamma_out}")
 
     @property

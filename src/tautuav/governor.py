@@ -10,7 +10,9 @@ backwards, stepping by one ball radius (minus half the global floor) at a
 time, so that each waypoint's setpoint offset lies inside its
 predecessor's ball.  Online, a supervisor applies the waypoints in reverse
 order and advances as soon as the measured elevation and pitch errors enter
-the next ball.
+the next ball.  The supervisor, :func:`governor_step`, is memoryless: it maps
+the measured state and the active waypoint index to the next index; the
+simulator keeps the index and records the switch times.
 
 Radii come from the tension-safety inequality: with peak error norms
 ``l_alpha`` and ``l_theta`` the tension stays positive when
@@ -96,14 +98,6 @@ class WaypointPlan:
             max(w.dx_theta ** 2 for w in self.waypoints)))
 
 
-@dataclass(slots=True)
-class GovernorState:
-    """Supervisor state: active waypoint index and recorded switch times."""
-
-    active_index: int
-    switch_times: list[float] = field(default_factory=list)
-
-
 def _radii_for_tension(t_bar: float, g: GainConfig, p: PlantParams,
                        cert: GainCertificate, r_env: RadialEnvelope
                        ) -> tuple[float, float]:
@@ -181,30 +175,29 @@ def switch_ready(y: Sequence[float], next_wp: Waypoint) -> bool:
             <= next_wp.dx_theta ** 2)
 
 
-def governor_step(y: Sequence[float], plan: WaypointPlan, gs: GovernorState,
-                  t: float = 0.0) -> GovernorState:
-    """Advance the supervisor to the most final waypoint whose ball admits
-    the state ``y = (r, r_dot, alpha, alpha_dot, theta, theta_dot)``.
+def governor_step(y: Sequence[float], plan: WaypointPlan,
+                  active_index: int) -> int:
+    """The index of the most final waypoint whose ball admits the state
+    ``y = (r, r_dot, alpha, alpha_dot, theta, theta_dot)``, or
+    ``active_index`` when none ahead of it does.
 
     Each admitting ball guarantees convergence with positive tension, so the
     supervisor may skip any number of intermediate waypoints at once (a
     state already inside the final reference's ball jumps straight to it).
-    The applied reference stays piecewise constant; the instant of each
-    reference change is recorded.  The index never increases.
+    The index never increases.
 
     A rate whose square exceeds its bound in ``plan.rate_bounds`` skips the
     scan: adding a non-negative square cannot lower a rounded sum, so no
     ball would admit the state."""
-    if not 0 <= gs.active_index < len(plan.waypoints):
-        raise ValueError(f"active_index {gs.active_index} outside the plan")
+    if not 0 <= active_index < len(plan.waypoints):
+        raise ValueError(f"active_index {active_index} outside the plan")
     alpha_rate_bound, theta_rate_bound = plan.rate_bounds
     if y[3] ** 2 > alpha_rate_bound or y[5] ** 2 > theta_rate_bound:
-        return gs
-    for k in range(gs.active_index):
+        return active_index
+    for k in range(active_index):
         if switch_ready(y, plan.waypoints[k]):
-            return GovernorState(active_index=k,
-                                 switch_times=gs.switch_times + [t])
-    return gs
+            return k
+    return active_index
 
 
 def _march_segment(waypoints: list[Waypoint], near: Setpoint, far: Setpoint,

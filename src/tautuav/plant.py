@@ -79,11 +79,16 @@ class FullState:
                 theta_dot: float = 0.0) -> "FullState":
         """Validated constructor for run initial conditions.
 
-        Requires a taut configuration (``r > 0``) and ``alpha`` within
+        Requires finite entries, a taut cable (``r > 0``) and ``alpha`` in
         [0, pi]; ``theta`` is wrapped to (-pi, pi].  During integration the
         state is propagated without re-validation so that excursions of
         ``alpha`` past the interval ends are observable instead of raising.
         """
+        for name, value in (("r", r), ("alpha", alpha), ("theta", theta),
+                            ("r_dot", r_dot), ("alpha_dot", alpha_dot),
+                            ("theta_dot", theta_dot)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not r > 0.0:
             raise ValueError(f"r must be positive for a taut cable, got {r}")
         if not 0.0 <= alpha <= math.pi:

@@ -9,14 +9,14 @@ times stable.  The flight takes its steps with :func:`closed_loop_rk4_step`,
 the generic :func:`tautuav.plant.rk4_step` written out over the six state
 entries; the two are tested equal bit for bit.
 
-Each step logs the full state, the applied inputs, the cable tension, and
-the commanded pitch.  Event detection runs on the logged samples: the first
-tension threshold crossing is located by linear interpolation between the
-bracketing steps (reported at 1e-4 s resolution), and convergence is
-declared at the start of the first window in which the six-state error norm
-stays below tolerance for the dwell period.  A tension violation is an
-event, not an error -- the run continues to the horizon so the three
-scenarios stay comparable sample by sample.
+The step loop does only the work that needs the live state and logs raw
+rows; :func:`_finish_log` derives the rest from the logged columns once the
+flight ends.  The first tension threshold crossing is located by linear
+interpolation between the bracketing steps (reported at 1e-4 s resolution),
+and convergence is declared at the start of the first window in which the
+six-state error norm stays below tolerance for the dwell period.  A tension
+violation is an event, not an error -- the run continues to the horizon so
+the three scenarios stay comparable sample by sample.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 
 from .control import GainConfig, closed_loop, closed_loop_rhs
 from .equilibria import Setpoint
-from .governor import GovernorState, WaypointPlan, governor_step
-from .plant import FullState, PlantParams, wrap_angle
+from .governor import WaypointPlan, governor_step
+from .plant import FullState, PlantParams
 
 
 class SimulationDiverged(RuntimeError):
@@ -68,9 +68,12 @@ class SimConfig:
         if not self.dt < self.t_final < math.inf:
             raise ValueError(f"t_final must be finite and exceed dt, "
                              f"got {self.t_final}")
-        if not self.convergence_tol > 0.0:
-            raise ValueError(f"convergence_tol must be positive, "
+        if not 0.0 < self.convergence_tol < math.inf:
+            raise ValueError(f"convergence_tol must be finite and positive, "
                              f"got {self.convergence_tol}")
+        if not math.isfinite(self.tension_min):
+            raise ValueError(f"tension_min must be finite, "
+                             f"got {self.tension_min}")
         if not 0.0 <= self.convergence_dwell < math.inf:
             raise ValueError(f"convergence_dwell must be finite and "
                              f"non-negative, got {self.convergence_dwell}")
@@ -122,13 +125,6 @@ class TrajectoryLog:
                 self.tension, self.theta_c, self.waypoint)
 
 
-def _six_state_error(row_state: tuple[float, ...], ref: Setpoint) -> float:
-    r, r_dot, alpha, alpha_dot, theta, theta_dot = row_state
-    return math.sqrt((r - ref.r_bar) ** 2 + r_dot ** 2
-                     + (alpha - ref.alpha_bar) ** 2 + alpha_dot ** 2
-                     + (theta - ref.theta_bar) ** 2 + theta_dot ** 2)
-
-
 def closed_loop_rk4_step(y: tuple[float, ...], deriv: tuple[float, ...],
                          law: tuple, dt: float) -> tuple[float, ...]:
     """One RK4 step of the closed loop under ``law`` from the six floats
@@ -175,9 +171,9 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
     if mode is ScenarioMode.INNER_WITH_RG:
         if plan is None:
             raise ValueError("inner-with-rg mode requires a waypoint plan")
-        gs = GovernorState(active_index=len(plan.waypoints) - 1)
+        wp_index = len(plan.waypoints) - 1
     else:
-        gs = None
+        wp_index = -1
     if abs(cfg.initial.r_dot) > g.lambda1 / g.k_dr:
         raise ValueError(
             f"initial radial speed {cfg.initial.r_dot} violates the admissible "
@@ -185,62 +181,27 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
 
     dt = cfg.dt
     n_steps = int(round(cfg.t_final / dt))
-    dwell_steps = int(round(cfg.convergence_dwell / dt))
     y = cfg.initial.as_tuple()
-    prev_theta_c: float | None = None
-    ref = law = None
-
-    rows = array.array("d")  # the logged rows, 13 values each, back to back
-    streak_start: int | None = None
-    convergence_time: float | None = None
-    prev_tension: float | None = None
-    first_violation: float | None = None
+    law = None  # the control law of the applied reference, once settled
+    switch_times: list[float] = []
+    rows = array.array("d")  # the raw rows, 13 values each, back to back
 
     for k in range(n_steps + 1):
         t = k * dt
-        if gs is not None:
-            if gs.active_index:
-                gs = governor_step(y, plan, gs, t)
-            wp_index = gs.active_index
-            sp = plan.waypoints[wp_index].sp
-        else:
-            sp = cfg.reference
-            wp_index = -1
-        if sp is not ref:
-            ref = sp
-            law = closed_loop(ref, g, p, ideal_attitude=ideal)
+        if wp_index > 0:
+            index = governor_step(y, plan, wp_index)
+            if index != wp_index:
+                wp_index = index
+                switch_times.append(t)
+                law = None
+        if law is None:
+            sp = (cfg.reference if wp_index < 0
+                  else plan.waypoints[wp_index].sp)
+            law = closed_loop(sp, g, p, ideal_attitude=ideal)
 
         deriv, (u1, u2, u3), tension_value, (_, _, theta_c) = \
             closed_loop_rhs(y, law)
-
-        if ideal:
-            theta_row = theta_c
-            theta_dot_row = (0.0 if prev_theta_c is None
-                             else (theta_c - prev_theta_c) / dt)
-        else:
-            theta_row = y[4]
-            theta_dot_row = y[5]
-        prev_theta_c = theta_c
-
-        row = (y[0], y[1], y[2], y[3], wrap_angle(theta_row), theta_dot_row)
-        rows.extend((t, *row, u1, u2, u3, tension_value, wrap_angle(theta_c),
-                     float(wp_index)))
-
-        if (prev_tension is not None and first_violation is None
-                and prev_tension > cfg.tension_min >= tension_value):
-            frac = (prev_tension - cfg.tension_min) / (prev_tension - tension_value)
-            first_violation = round(t - dt + frac * dt, 4)
-        prev_tension = tension_value
-
-        if convergence_time is None:
-            err = _six_state_error(row, cfg.reference)
-            if err < cfg.convergence_tol:
-                if streak_start is None:
-                    streak_start = k
-                if k - streak_start >= dwell_steps:
-                    convergence_time = streak_start * dt
-            else:
-                streak_start = None
+        rows.extend((t, *y, u1, u2, u3, tension_value, theta_c, wp_index))
 
         if k == n_steps:
             break
@@ -249,14 +210,60 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
         if not all(map(math.isfinite, y)):
             raise SimulationDiverged(f"non-finite state at t={t + dt}: {y}")
 
-    events = SimEvents(
-        first_tension_violation=first_violation,
-        switch_times=tuple(gs.switch_times) if gs is not None else (),
-        convergence_time=convergence_time,
-    )
-    columns = np.frombuffer(rows).reshape(-1, 13).T.copy()
-    return TrajectoryLog(*columns[:12], columns[12].astype(int),
-                         events=events)
+    raw = np.frombuffer(rows).reshape(-1, 13).T.copy()
+    del rows  # free the row buffer before _finish_log's temporaries
+    return _finish_log(raw, cfg, tuple(switch_times))
+
+
+def _wrap_angles(x: np.ndarray) -> np.ndarray:
+    """:func:`tautuav.plant.wrap_angle` elementwise, bit for bit."""
+    y = np.fmod(x + math.pi, 2.0 * math.pi)
+    return np.where(y <= 0.0, y + 2.0 * math.pi, y) - math.pi
+
+
+def _finish_log(raw: np.ndarray, cfg: SimConfig,
+                switch_times: tuple[float, ...]) -> TrajectoryLog:
+    """The log and events of a flight from its raw columns, finished in
+    place: one per :attr:`TrajectoryLog.COLUMNS` entry as the step loop
+    logged them, with the integrated pitch, the unwrapped pitch command and
+    the supervisor index as a float.
+
+    In ideal-attitude mode the pitch is its command and the pitch rate the
+    command's backward difference (0 on the first row); both pitch columns
+    are wrapped to (-pi, pi].  A convergence window cut off by the horizon
+    does not count.
+    """
+    (t, r, r_dot, alpha, alpha_dot, theta, theta_dot,
+     _, _, _, tension, theta_c, _) = raw
+    dt = cfg.dt
+    if cfg.mode is ScenarioMode.IDEAL_ATTITUDE:
+        theta_dot[0] = 0.0
+        theta_dot[1:] = (theta_c[1:] - theta_c[:-1]) / dt
+        theta[:] = theta_c
+    theta[:] = _wrap_angles(theta)
+    theta_c[:] = _wrap_angles(theta_c)
+
+    t_min = cfg.tension_min
+    crossings = np.flatnonzero((tension[:-1] > t_min) & (t_min >= tension[1:]))
+    violation = None
+    if crossings.size:
+        k = int(crossings[0]) + 1
+        before, after = float(tension[k - 1]), float(tension[k])
+        frac = (before - t_min) / (before - after)
+        violation = round(float(t[k]) - dt + frac * dt, 4)
+
+    ref = cfg.reference
+    err = np.sqrt((r - ref.r_bar) ** 2 + r_dot ** 2
+                  + (alpha - ref.alpha_bar) ** 2 + alpha_dot ** 2
+                  + (theta - ref.theta_bar) ** 2 + theta_dot ** 2)
+    inside = np.concatenate(([False], err < cfg.convergence_tol, [False]))
+    edges = np.flatnonzero(inside[1:] != inside[:-1])  # run starts, ends
+    starts, ends = edges[::2], edges[1::2]
+    lasting = starts[ends - starts > int(round(cfg.convergence_dwell / dt))]
+    convergence = int(lasting[0]) * dt if lasting.size else None
+
+    return TrajectoryLog(*raw[:12], raw[12].astype(int), events=SimEvents(
+        violation, switch_times, convergence))
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="zeta"):
             parse_config("zeta = 1.2")
 
+    @pytest.mark.parametrize("text, key", [
+        ("tension_min = nan", "tension_min"),
+        ("tension_min = -inf", "tension_min"),
+        ("convergence_tol = nan", "convergence_tol"),
+        ("convergence_tol = inf", "convergence_tol"),
+        ("theta0 = nan", "theta"),
+        ("alpha_dot0 = inf", "alpha_dot"),
+        ("eps = nan", "eps"),
+        ("gamma_out = nan", "gamma_out"),
+    ])
+    def test_non_finite_value_names_key(self, text, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            parse_config(text)
+
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2.*zeta_typo"):
             parse_config("m = 2.0\nzeta_typo = 0.9")
@@ -189,6 +203,30 @@ class TestMain:
         code = cli.main(["simulate", "--config", str(cfg)])
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ("tension_min = nan", "tension_min"),
+        ("theta0 = nan", "theta"),
+        ("alpha_dot0 = inf", "alpha_dot"),
+    ])
+    def test_non_finite_config_exit_one(self, tmp_path, capsys, text, key):
+        # a NaN tension_min would switch the taut-cable check off, and a
+        # non-finite initial state fails only once the flight is under way
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "\n")
+        code = cli.main(["simulate", "--mode", "inner-no-rg",
+                         "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {key} must be" in err
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "certify",
+                                            "attainable-set", "sweep"])
+    def test_seed_only_on_plan(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([subcommand, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_simulate_step_not_dividing_horizon_exit_one(self, capsys):
         code = cli.main(["simulate", "--dt", "0.003"])

@@ -67,6 +67,11 @@ class TestGainConfig:
         with pytest.raises(ValueError, match="zeta"):
             tu.GainConfig(zeta=1.2)
 
+    @pytest.mark.parametrize("key", ["eps", "gamma_out"])
+    def test_rejects_nan_margin_and_outer_gain(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be non-negative"):
+            tu.GainConfig(**{key: math.nan})
+
     def test_rejects_untied_radial_damping(self):
         # the tied gains are derived, so no value can be given to break the
         # tie (the config parser checks an explicit one)

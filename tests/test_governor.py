@@ -185,23 +185,18 @@ class TestSwitching:
         final = tu.Setpoint(0.8, 0.7, 0.1)
         start = tu.Setpoint(0.8, 1.3, 0.03)
         plan = tu.backtrack_plan(start, final, gains, plant, cert, env)
-        gs = tu.GovernorState(active_index=len(plan.waypoints) - 1)
         state = (final.r_bar, 0.0, final.alpha_bar, 0.0, final.theta_bar, 0.0)
-        gs2 = tu.governor_step(state, plan, gs, t=1.0)
-        assert gs2.active_index == 0
-        assert gs2.switch_times == [1.0]
+        assert tu.governor_step(state, plan, len(plan.waypoints) - 1) == 0
 
     def test_governor_holds_when_far(self, plant, gains, default_certificate):
         cert, env = default_certificate
         final = tu.Setpoint(0.8, 0.7, 0.1)
         start = tu.Setpoint(0.8, 1.3, 0.03)
         plan = tu.backtrack_plan(start, final, gains, plant, cert, env)
-        gs = tu.GovernorState(active_index=len(plan.waypoints) - 1)
+        last = len(plan.waypoints) - 1
         state = (start.r_bar, 0.0, start.alpha_bar, 1.5,
                  start.theta_bar, 0.0)  # large rates: no ball admits
-        gs2 = tu.governor_step(state, plan, gs, t=0.0)
-        assert gs2.active_index == len(plan.waypoints) - 1
-        assert gs2.switch_times == []
+        assert tu.governor_step(state, plan, last) == last
 
 
     @pytest.mark.parametrize("widest_first", [False, True])
@@ -247,16 +242,14 @@ class TestSwitching:
         outcomes = {"filtered": 0, "switched": 0, "held": 0}
         for y in states:
             i = int(rng.integers(1, len(wps)))
-            gs = tu.GovernorState(active_index=i, switch_times=[0.5])
-            got = tu.governor_step(y, plan, gs, t=1.0)
+            got = tu.governor_step(y, plan, i)
             want = next((k for k in range(i) if tu.switch_ready(y, wps[k])),
                         None)
             if want is None:
-                assert got is gs
+                assert got == i
                 outcomes["held"] += 1
             else:
-                assert got.active_index == want
-                assert got.switch_times == [0.5, 1.0]
+                assert got == want
                 outcomes["switched"] += 1
             if (y[3] ** 2 > plan.rate_bounds[0]
                     or y[5] ** 2 > plan.rate_bounds[1]):
@@ -276,6 +269,9 @@ class TestGovernedRun:
         assert wp[0] == len(plan.waypoints) - 1
         assert wp[-1] == 0
         assert 1 <= len(log.events.switch_times) <= len(plan.waypoints) - 1
+        # the run records a switch at each row where the index drops
+        drops = np.flatnonzero(np.diff(wp)) + 1
+        assert log.events.switch_times == tuple(log.t[drops].tolist())
 
     def test_monitor_passes(self, rg_bundle, plant, gains):
         plan, cert, env, log = rg_bundle
@@ -322,4 +318,4 @@ class TestTypes:
         plan, _, _, _ = rg_bundle
         state = (1.0, 0.0, 0.5, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="active_index"):
-            tu.governor_step(state, plan, tu.GovernorState(active_index=99), 0.0)
+            tu.governor_step(state, plan, 99)

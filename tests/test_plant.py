@@ -120,6 +120,15 @@ def test_initial_state_validation():
     assert wrapped.theta == pytest.approx(math.pi, abs=1e-12)
 
 
+@pytest.mark.parametrize("field", ["r", "alpha", "theta", "r_dot",
+                                   "alpha_dot", "theta_dot"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_initial_state_rejects_non_finite_entries(field, value):
+    entries = dict(r=1.0, alpha=0.5, theta=0.0)
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        tu.FullState.initial(**{**entries, field: value})
+
+
 @given(x=st.floats(-50.0, 50.0))
 def test_wrap_angle_range_and_identity(x):
     w = wrap_angle(x)

@@ -8,6 +8,7 @@ import pytest
 
 import tautuav as tu
 from tautuav import sim
+from tautuav.plant import wrap_angle
 from tautuav.sim import SimEvents, SimulationDiverged
 
 from conftest import sample_attainable
@@ -169,6 +170,31 @@ class TestScenarios:
         assert min(stage_tensions) == pytest.approx(1.59388, abs=1e-5)
         assert log.tension.min() == pytest.approx(1.59390, abs=1e-5)
 
+    def test_switch_at_start_settles_one_law(self, default_bundle, rg_bundle,
+                                             monkeypatch):
+        """A flight that starts inside the final reference's ball switches
+        to it at t = 0, which the index column alone cannot show, and
+        settles the control law once, for the final reference only."""
+        p, g, cfg = default_bundle
+        plan = rg_bundle[0]
+        final = plan.waypoints[0].sp
+        real_law = sim.closed_loop
+        settled = []
+
+        def recording(sp, *args, **kwargs):
+            settled.append(sp)
+            return real_law(sp, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "closed_loop", recording)
+        log = tu.run_scenario(dataclasses.replace(
+            cfg, mode=tu.ScenarioMode.INNER_WITH_RG, t_final=1.0,
+            initial=tu.FullState.initial(final.r_bar, final.alpha_bar,
+                                         final.theta_bar)), g, p, plan=plan)
+        assert len(plan.waypoints) > 1
+        assert log.events.switch_times == (0.0,)
+        assert (log.waypoint == 0).all()
+        assert settled == [final]
+
     def test_log_grid_uniform(self, ideal_log):
         dt = np.diff(ideal_log.t)
         assert np.allclose(dt, 1e-3, rtol=0.0, atol=1e-12)
@@ -245,6 +271,184 @@ class TestScenarios:
         with pytest.raises(SimulationDiverged,
                            match=r"non-finite state at t=0\.101"):
             tu.run_scenario(cfg, gains, plant)
+
+
+def loop_finish(raw, cfg):
+    """The oracle for ``sim._finish_log``: the step loop's row and event
+    logic as it ran before it moved to the columns, one row at a time.
+    Returns the finished columns and ``(violation, convergence)``."""
+    ideal = cfg.mode is tu.ScenarioMode.IDEAL_ATTITUDE
+    dt = cfg.dt
+    ref = cfg.reference
+    dwell_steps = int(round(cfg.convergence_dwell / dt))
+    prev_theta_c = prev_tension = first_violation = None
+    streak_start = convergence_time = None
+    rows = []
+    for k, (t, r, r_dot, alpha, alpha_dot, theta, theta_dot, u1, u2, u3,
+            tension_value, theta_c, wp) in enumerate(raw.T.tolist()):
+        if ideal:
+            theta = theta_c
+            theta_dot = (0.0 if prev_theta_c is None
+                         else (theta_c - prev_theta_c) / dt)
+        prev_theta_c = theta_c
+        row = (r, r_dot, alpha, alpha_dot, wrap_angle(theta), theta_dot)
+        rows.append((t, *row, u1, u2, u3, tension_value,
+                     wrap_angle(theta_c), wp))
+        if (prev_tension is not None and first_violation is None
+                and prev_tension > cfg.tension_min >= tension_value):
+            frac = ((prev_tension - cfg.tension_min)
+                    / (prev_tension - tension_value))
+            first_violation = round(t - dt + frac * dt, 4)
+        prev_tension = tension_value
+        if convergence_time is None:
+            err = math.sqrt((r - ref.r_bar) ** 2 + r_dot ** 2
+                            + (alpha - ref.alpha_bar) ** 2 + alpha_dot ** 2
+                            + (row[4] - ref.theta_bar) ** 2
+                            + theta_dot ** 2)
+            if err < cfg.convergence_tol:
+                if streak_start is None:
+                    streak_start = k
+                if k - streak_start >= dwell_steps:
+                    convergence_time = streak_start * dt
+            else:
+                streak_start = None
+    return np.array(rows).T, (first_violation, convergence_time)
+
+
+class TestFinishLog:
+    """Event detection on the logged columns against the loop it replaced."""
+
+    DT = 0.01
+
+    def config(self, n, dwell=3, mode=tu.ScenarioMode.INNER_NO_RG,
+               tension_min=0.0):
+        return tu.SimConfig(dt=self.DT, t_final=(n - 1) * self.DT, mode=mode,
+                            convergence_dwell=dwell * self.DT,
+                            tension_min=tension_min)
+
+    def raw(self, cfg, inside, tension, rng=None):
+        """Raw columns whose rows lie inside the convergence ball where
+        ``inside`` is true and well outside it elsewhere."""
+        n = len(inside)
+        ref = cfg.reference
+        tol = cfg.convergence_tol
+        offset = np.where(inside, 0.1 * tol, 10.0 * tol)
+        if rng is not None:  # spread the offset over the six entries
+            offset = offset * rng.uniform(0.5, 1.0, n)
+        cols = np.zeros((13, n))
+        cols[0] = np.arange(n) * cfg.dt
+        cols[1] = ref.r_bar + offset
+        cols[3] = ref.alpha_bar
+        cols[5] = ref.theta_bar
+        cols[7] = 20.0
+        cols[10] = tension
+        cols[11] = ref.theta_bar
+        cols[12] = -1.0
+        return cols
+
+    def check(self, raw, cfg):
+        want_cols, want_events = loop_finish(raw, cfg)
+        log = sim._finish_log(raw.copy(), cfg, ())
+        for got, want in zip(log.columns(), want_cols):
+            assert np.array_equal(got, want)
+        events = (log.events.first_tension_violation,
+                  log.events.convergence_time)
+        assert events == want_events
+        assert all(e is None or type(e) is float for e in events)
+        return log.events
+
+    @pytest.mark.parametrize("mode", list(tu.ScenarioMode))
+    def test_random_sequences_match_loop(self, mode):
+        rng = np.random.default_rng(11)
+        seen = {"violation": 0, "convergence": 0}
+        for _ in range(200):
+            n = int(rng.integers(3, 120))
+            cfg = self.config(n, dwell=int(rng.integers(0, 6)), mode=mode,
+                              tension_min=float(rng.choice([-0.5, 0.0, 0.5])))
+            # runs of rows inside or outside the ball, of random lengths
+            inside = np.repeat(rng.uniform(size=n) < 0.6,
+                               rng.integers(1, 8, n))[:n]
+            # a walk on a 0.5 N grid, so that rows land on tension_min
+            tension = np.round(np.cumsum(rng.normal(0.0, 0.6, n)) * 2.0) / 2.0
+            raw = self.raw(cfg, inside, tension, rng)
+            raw[1:7] += rng.normal(0.0, 1e-5, (6, n)) * (rng.uniform() < 0.3)
+            raw[5] += 2.0 * math.pi * rng.integers(-2, 3, n)
+            # with ideal attitude the pitch command moves only outside the
+            # ball, so that the pitch rate can be small inside it
+            still = inside & (mode is tu.ScenarioMode.IDEAL_ATTITUDE)
+            raw[11] += np.where(still, 0.0, rng.normal(0.0, 0.01, n)
+                                + 2.0 * math.pi * rng.integers(-2, 3, n))
+            events = self.check(raw, cfg)
+            seen["violation"] += events.first_tension_violation is not None
+            seen["convergence"] += events.convergence_time is not None
+        assert min(seen.values()) > 20
+
+    def test_tension_exactly_at_threshold(self):
+        cfg = self.config(6, tension_min=0.5)
+        raw = self.raw(cfg, [False] * 6, [2.0, 1.0, 0.5, 0.3, -1.0, -2.0])
+        # the row at the threshold is the violation: no interpolation needed
+        assert self.check(raw, cfg).first_tension_violation == 0.02
+        raw = self.raw(cfg, [False] * 6, [0.5, 0.2, 0.5, 0.5, 0.6, 0.6])
+        # starting at the threshold is not a crossing; 0.2 -> 0.5 neither
+        assert self.check(raw, cfg).first_tension_violation is None
+
+    def test_error_exactly_at_tolerance_is_outside(self):
+        tol = 2.0 ** -10  # r - r_bar = tol exactly, and so is its norm
+        cfg = dataclasses.replace(self.config(5, dwell=0), convergence_tol=tol)
+        raw = self.raw(cfg, [False] * 5, np.ones(5))
+        raw[1] = cfg.reference.r_bar + tol
+        assert self.check(raw, cfg).convergence_time is None
+        raw[1, 3] = cfg.reference.r_bar + tol / 2.0
+        assert self.check(raw, cfg).convergence_time == 3 * self.DT
+
+    def test_crossing_at_row_one(self):
+        cfg = self.config(4)
+        raw = self.raw(cfg, [False] * 4, [3.0, -1.0, 2.0, -5.0])
+        assert self.check(raw, cfg).first_tension_violation == 0.0075
+
+    @pytest.mark.parametrize("dwell", [0, 1, 4])
+    def test_streak_of_dwell_rows_does_not_converge(self, dwell):
+        n = 20
+        cfg = self.config(n, dwell=dwell)
+        inside = np.zeros(n, dtype=bool)
+        inside[3:3 + dwell] = True      # dwell rows: too short
+        inside[9:9 + dwell + 1] = True  # dwell + 1 rows: long enough
+        events = self.check(self.raw(cfg, inside, np.ones(n)), cfg)
+        assert events.convergence_time == 9 * self.DT
+
+    @pytest.mark.parametrize("dwell", [0, 2, 5])
+    def test_streak_cut_off_by_horizon(self, dwell):
+        n = 15
+        cfg = self.config(n, dwell=dwell)
+        inside = np.zeros(n, dtype=bool)
+        inside[n - dwell:] = True  # dwell rows up to the horizon
+        events = self.check(self.raw(cfg, inside, np.ones(n)), cfg)
+        assert events.convergence_time is None
+        inside[n - dwell - 1] = True  # one more row: it converges
+        events = self.check(self.raw(cfg, inside, np.ones(n)), cfg)
+        assert events.convergence_time == (n - dwell - 1) * self.DT
+
+    def test_zero_dwell_converges_on_first_row_inside(self):
+        cfg = self.config(8, dwell=0)
+        inside = [False, False, False, False, True, False, True, True]
+        events = self.check(self.raw(cfg, inside, np.ones(8)), cfg)
+        assert events.convergence_time == 4 * self.DT
+        cfg = self.config(8, dwell=0)
+        events = self.check(self.raw(cfg, [True] + [False] * 7, np.ones(8)),
+                            cfg)
+        assert events.convergence_time == 0.0
+
+    def test_wrap_equals_scalar_wrap_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        edges = [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -3.0 * math.pi,
+                 np.nextafter(math.pi, 4.0), np.nextafter(-math.pi, -4.0),
+                 1e-300, -1e-300, 1e6, -1e6]
+        x = np.concatenate((edges, rng.uniform(-20.0, 20.0, 5000),
+                            rng.normal(0.0, 1e4, 500)))
+        got = sim._wrap_angles(x)
+        want = [wrap_angle(v) for v in x.tolist()]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_free_fall_energy_conservation(plant):
