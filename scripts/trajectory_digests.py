@@ -5,8 +5,12 @@ Covers the three reference experiments (as scripts/run_experiments.py runs
 them, from configs/default.cfg) and the governed missions the benchmark
 draws for seeds 0 and 1.  Each line names one flight and gives four
 digests: every logged column, the detected events, the waypoint plan and
-the invariant monitor's rows.  Run it in two checkouts and ``diff`` the
-outputs to show that a change leaves every trajectory bit-identical:
+the invariant monitor's rows.  A last line digests, without flying them,
+the waypoint plans and gain certificates of the governed reference run and
+of the missions drawn for seeds 0-59, so that a change to plan
+construction is checked on far more plans than are flown.  Run it in two
+checkouts and ``diff`` the outputs to show that a change leaves every
+trajectory and plan bit-identical:
 
     python3 scripts/trajectory_digests.py > after.txt
 """
@@ -24,9 +28,10 @@ import numpy as np
 import tautuav as tu
 from perfbench.workloads import (MISSION_T_FINAL, MISSIONS_PER_PASS,
                                  REFERENCE_RG_T_FINAL, sample_missions)
-from tautuav.cli import parse_config, simulate
+from tautuav.cli import build_plan, parse_config, simulate
 
 SEEDS = (0, 1)
+PLAN_SEEDS = range(60)
 
 
 def sha(*parts) -> str:
@@ -46,6 +51,19 @@ def line(name: str, p, g, cfg) -> str:
             f"plan={sha(plan)} monitor={sha(monitor)}")
 
 
+def missions(p, g, base, seeds):
+    """(name, config) of each governed mission the benchmark draws."""
+    for seed in seeds:
+        for i, (start, final) in enumerate(
+                sample_missions(seed, MISSIONS_PER_PASS, g.eps, p)):
+            yield f"seed-{seed}-mission-{i}", dataclasses.replace(
+                base, mode=tu.ScenarioMode.INNER_WITH_RG,
+                t_final=MISSION_T_FINAL,
+                initial=tu.FullState.initial(start.r_bar, start.alpha_bar,
+                                             start.theta_bar),
+                reference=final)
+
+
 def main() -> int:
     p, g, base = parse_config((ROOT / "configs" / "default.cfg").read_text())
     for mode in tu.ScenarioMode:
@@ -53,16 +71,12 @@ def main() -> int:
         if mode is tu.ScenarioMode.INNER_WITH_RG:
             cfg = dataclasses.replace(cfg, t_final=REFERENCE_RG_T_FINAL)
         print(line(mode.value, p, g, cfg), flush=True)
-    for seed in SEEDS:
-        for i, (start, final) in enumerate(
-                sample_missions(seed, MISSIONS_PER_PASS, g.eps, p)):
-            cfg = dataclasses.replace(
-                base, mode=tu.ScenarioMode.INNER_WITH_RG,
-                t_final=MISSION_T_FINAL,
-                initial=tu.FullState.initial(start.r_bar, start.alpha_bar,
-                                             start.theta_bar),
-                reference=final)
-            print(line(f"seed-{seed}-mission-{i}", p, g, cfg), flush=True)
+    for name, cfg in missions(p, g, base, SEEDS):
+        print(line(name, p, g, cfg), flush=True)
+    cfgs = [base] + [cfg for _, cfg in missions(p, g, base, PLAN_SEEDS)]
+    print(f"plans reference+seeds-0-59 count={len(cfgs)} "
+          f"plans+certificates={sha(*(build_plan(p, g, c) for c in cfgs))}",
+          flush=True)
     return 0
 
 

@@ -169,37 +169,26 @@ def gamma_in_bound(g: GainConfig) -> float:
     return 1.0 / (g.zeta * math.sqrt(g.k_pt))
 
 
-def gamma_in_l1(g: GainConfig, t_horizon: float | None = None,
-                dt: float | None = None) -> float:
+def gamma_in_l1(g: GainConfig) -> float:
     """Inner asymptotic gain as the impulse-response L1 norm.
 
     Integrates ``|cos(w*s) - (zeta/sqrt(1-zeta^2)) * sin(w*s)| *
     exp(-q*zeta*s)`` with ``q = sqrt(k_pt)`` and ``w = q*sqrt(1-zeta^2)`` by
-    composite Simpson quadrature on [0, t_horizon].  The geometric tail
-    bound ``exp(-q*zeta*t_horizon)/(q*zeta)`` is added to the result so the
-    truncation error is accounted for rather than dropped.  The value
-    depends only on ``k_pt``, ``zeta`` and the grid, and is cached on them.
+    composite Simpson quadrature, 2e5 intervals on ``[0, t_horizon]`` with
+    ``t_horizon = 40/(zeta*q)``.  The geometric tail bound ``exp(-q*zeta*t_horizon)/(q*zeta)`` is added to the
+    result so the truncation error is accounted for rather than dropped.
+    The value depends only on ``k_pt`` and ``zeta``, and is cached on them.
     """
-    if t_horizon is None:
-        t_horizon = 40.0 / (g.zeta * math.sqrt(g.k_pt))
-    if dt is None:
-        dt = t_horizon / 2e5
-    if t_horizon <= 0.0:
-        raise ValueError(f"t_horizon must be positive, got {t_horizon}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return _impulse_l1(g.k_pt, g.zeta, t_horizon, dt)
+    return _impulse_l1(g.k_pt, g.zeta)
 
 
 @functools.lru_cache(maxsize=256)
-def _impulse_l1(k_pt: float, zeta: float, t_horizon: float,
-                dt: float) -> float:
-    """The quadrature of :func:`gamma_in_l1` on a checked grid."""
+def _impulse_l1(k_pt: float, zeta: float) -> float:
+    """The quadrature of :func:`gamma_in_l1`."""
     q = math.sqrt(k_pt)
     w = q * math.sqrt(1.0 - zeta ** 2)
-    n = max(2, int(round(t_horizon / dt)))
-    if n % 2:
-        n += 1
+    t_horizon = 40.0 / (zeta * q)
+    n = 200_000
     s = np.linspace(0.0, t_horizon, n + 1)
     f = (np.abs(np.cos(w * s)
                 - (zeta / math.sqrt(1.0 - zeta ** 2)) * np.sin(w * s))
@@ -239,8 +228,9 @@ def small_gain_certificate(g: GainConfig, gamma_out: float,
     proceed with ``init_ok`` false -- extending the admissible initial set
     is its purpose -- but never without ``small_gain_ok``.
     """
-    if gamma_out < 0.0:
-        raise ValueError(f"gamma_out must be non-negative, got {gamma_out}")
+    if not 0.0 <= gamma_out < math.inf:
+        raise ValueError(f"gamma_out must be non-negative and finite, "
+                         f"got {gamma_out}")
     if x_alpha0 < 0.0 or x_theta0 < 0.0:
         raise ValueError("initial error norms must be non-negative")
     gin = gamma_in_l1(g) if gamma_in is None else gamma_in
@@ -305,25 +295,24 @@ def error_terms(state: FullState, t_bar: float, theta_tilde: float,
 
 
 def empirical_inner_peak_gain(g: GainConfig,
-                              freqs: np.ndarray | None = None,
-                              cycles: int = 4, resolution: int = 60
-                              ) -> float:
+                              freqs: np.ndarray | None = None) -> float:
     """Peak steady-state gain of the attitude error loop under sinusoidal drive.
 
     Simulates the error-coordinate attitude loop (the realisation whose
     impulse response :func:`gamma_in_l1` integrates) driven by a unit
-    commanded-pitch-rate sinusoid at each frequency, and returns the largest
-    trailing-window amplitude ratio.  The L1 norm dominates this peak gain
-    for any single-input single-output linear system, which is what the
-    consistency suite checks.
+    commanded-pitch-rate sinusoid at each frequency (four cycles of the
+    slowest after settling, 60 steps per period of the fastest), and
+    returns the largest trailing-window amplitude ratio.  The L1 norm
+    dominates this peak gain for any single-input single-output linear
+    system, which is what the consistency suite checks.
     """
     q = math.sqrt(g.k_pt)
     if freqs is None:
         freqs = q * np.logspace(-1.5, 1.0, 30)
     freqs = np.asarray(freqs, dtype=float)
     t_settle = 10.0 / (g.zeta * q)
-    t_final = t_settle + cycles * 2.0 * math.pi / freqs.min()
-    dt = min(2.0 * math.pi / freqs.max() / resolution, t_settle / 200.0)
+    t_final = t_settle + 4.0 * 2.0 * math.pi / freqs.min()
+    dt = min(2.0 * math.pi / freqs.max() / 60.0, t_settle / 200.0)
     n = int(math.ceil(t_final / dt))
 
     x = (np.zeros_like(freqs), np.zeros_like(freqs))
@@ -345,8 +334,7 @@ def empirical_inner_peak_gain(g: GainConfig,
 
 
 def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
-                       freqs: np.ndarray | None = None,
-                       safety: float = 2.0) -> float:
+                       freqs: np.ndarray | None = None) -> float:
     """Empirical outer asymptotic gain from pitch error to commanded pitch rate.
 
     No closed form exists for this gain, so it is estimated by driving the
@@ -354,7 +342,7 @@ def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
     pitch-error sinusoid ``theta_tilde_max * sin(w*t)`` over a frequency
     grid, reading the commanded pitch by the thrust-vectoring law,
     differencing it, and taking the peak trailing-window ratio times a
-    safety factor.
+    safety factor of 2.
     """
     t_bar = equilibria.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
     w_alpha = math.sqrt(g.k_pa)
@@ -396,5 +384,5 @@ def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
         if t >= t_settle:
             np.maximum(peak, np.abs(tc - prev_tc) / dt, out=peak)
         prev_tc = tc
-    return safety * float(peak.max()) / amp
+    return 2.0 * float(peak.max()) / amp
 

@@ -19,7 +19,8 @@ Subcommands::
 
 Exit codes: 0 when the requested run completed and every monitored
 assertion passed, 2 when it completed but a constraint was violated (or a
-certificate failed), 1 for configuration or validation errors.
+certificate failed), 1 for configuration or validation errors and for a
+flight whose state turned non-finite.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .analysis import mission_radial_envelope, radial_envelope
 from .control import GainConfig
 from .equilibria import Setpoint
 from .plant import FullState, PlantParams
-from .sim import (MonitorReport, ScenarioMode, SimConfig, TrajectoryLog,
-                  monitor_invariants, run_scenario)
+from .sim import (MonitorReport, ScenarioMode, SimConfig, SimulationDiverged,
+                  TrajectoryLog, monitor_invariants, run_scenario)
 
 
 class ConfigError(ValueError):
@@ -171,22 +172,23 @@ def _fmt(x: float) -> str:
 
 
 def emit_log(log: TrajectoryLog, dest: Path) -> None:
-    """Write a trajectory log as CSV with events appended as comment lines."""
-    cols = log.columns()
-    lines = [",".join(TrajectoryLog.COLUMNS)]
-    for i in range(len(log)):
-        fields = [_fmt(float(col[i])) for col in cols[:-1]]
-        fields.append(str(int(cols[-1][i])))
-        lines.append(",".join(fields))
+    """Write a trajectory log as CSV with events appended as comment lines.
+
+    Each row is formatted by one format string and written as it is made,
+    so the table is never held as text in full."""
+    row = ",".join(["%.9g"] * (len(TrajectoryLog.COLUMNS) - 1) + ["%d"]) + "\n"
     ev = log.events
+    events = []
     if ev.first_tension_violation is not None:
-        lines.append(f"# tension_violation t={ev.first_tension_violation:.4f}")
-    for ts in ev.switch_times:
-        lines.append(f"# switch t={_fmt(ts)}")
+        events.append(f"# tension_violation t={ev.first_tension_violation:.4f}\n")
+    events += [f"# switch t={_fmt(ts)}\n" for ts in ev.switch_times]
     if ev.convergence_time is not None:
-        lines.append(f"# convergence t={_fmt(ev.convergence_time)}")
+        events.append(f"# convergence t={_fmt(ev.convergence_time)}\n")
     try:
-        dest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with dest.open("w", encoding="utf-8") as f:
+            f.write(",".join(TrajectoryLog.COLUMNS) + "\n")
+            f.writelines(row % values for values in zip(*log.columns()))
+            f.writelines(events)
     except OSError as exc:
         raise OSError(f"cannot write trajectory log to {dest}: {exc}") from exc
 
@@ -455,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SimulationDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable subcommand")

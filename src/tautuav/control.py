@@ -67,13 +67,19 @@ class GainConfig:
     hover_tension: float | None = None  # tension choice at vertical hover [N]
 
     def __post_init__(self) -> None:
-        # the derived gains take square roots of these, so check them first
+        # the derived values are computed from these, so check them first
         for name in ("k_pr", "k_pa", "k_pt"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value}")
         if not 0.0 < self.zeta < 1.0:
             raise ValueError(f"zeta must lie in (0, 1), got {self.zeta}")
+        for name in ("eps", "gamma_out"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"got {value}")
         if self.k_da is None:
             object.__setattr__(self, "k_da",
                                2.0 * self.zeta * math.sqrt(self.k_pa))
@@ -82,8 +88,9 @@ class GainConfig:
                                default_hover_tension(self.eps))
         for name in ("lambda1", "lambda2", "k_da", "hover_tension"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value}")
         if not 0.0 < self.nu < 1.0:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if not 0.0 < self.theta_tilde_max < math.pi / 2.0:
@@ -92,10 +99,6 @@ class GainConfig:
         if not self.lambda2 > self.lambda1:
             raise ValueError(f"lambda2 must exceed lambda1, got "
                              f"lambda2={self.lambda2} <= lambda1={self.lambda1}")
-        if not self.eps >= 0.0:
-            raise ValueError(f"eps must be non-negative, got {self.eps}")
-        if not self.gamma_out >= 0.0:
-            raise ValueError(f"gamma_out must be non-negative, got {self.gamma_out}")
 
     @property
     def k_dr(self) -> float:

@@ -53,8 +53,9 @@ class Setpoint:
     theta_bar: float
 
     def __post_init__(self) -> None:
-        if not self.r_bar > 0.0:
-            raise ValueError(f"r_bar must be positive, got {self.r_bar}")
+        if not 0.0 < self.r_bar < math.inf:
+            raise ValueError("r_bar must be positive and finite, "
+                             f"got {self.r_bar}")
         if not 0.0 <= self.alpha_bar <= math.pi:
             raise ValueError(f"alpha_bar must lie in [0, pi], got {self.alpha_bar}")
         if self.alpha_bar == HALF_PI and self.theta_bar != 0.0:
@@ -94,7 +95,7 @@ def theta_limit(alpha_bar: float, eps: float, p: PlantParams) -> float:
         raise ValueError(f"alpha_bar must lie in [0, pi], got {alpha_bar}")
     if alpha_bar == HALF_PI:
         raise SingularSetpointError("theta_limit is singular at alpha_bar = pi/2")
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     base = math.atan(eps / (p.m * p.g * math.cos(alpha_bar)) + math.tan(alpha_bar))
     if alpha_bar > HALF_PI:
@@ -172,16 +173,16 @@ def same_half_interval(a: Setpoint, b: Setpoint) -> bool:
             or (a.alpha_bar >= HALF_PI and b.alpha_bar >= HALF_PI))
 
 
-def interpolate_path(start: Setpoint, end: Setpoint, eps: float, p: PlantParams,
-                     samples_per_segment: int = 1000,
-                     margin: float = PATH_MARGIN) -> PathSpec:
+def interpolate_path(start: Setpoint, end: Setpoint, eps: float,
+                     p: PlantParams) -> PathSpec:
     """Piecewise-linear attainable path from ``start`` to ``end``.
 
     One segment when both elevations lie on the same side of the vertical,
     otherwise two segments joined at the apex ``((r_a+r_b)/2, pi/2, 0)``.
-    Every sampled interior point is certified attainable; convexity of each
-    half guarantees this analytically, so the sampling is a regression
-    tripwire rather than the proof.
+    999 interior points per segment are certified attainable at the margin
+    :data:`PATH_MARGIN`; convexity of each half guarantees this
+    analytically, so the sampling is a regression tripwire rather than the
+    proof.
     """
     for name, sp in (("start", start), ("end", end)):
         if not is_attainable(sp, eps, p):
@@ -194,9 +195,9 @@ def interpolate_path(start: Setpoint, end: Setpoint, eps: float, p: PlantParams,
         segments = ((start, mid), (mid, end))
 
     for seg_start, seg_end in segments:
-        for k in range(1, samples_per_segment):
-            sp = interpolate_setpoint(seg_start, seg_end, k / samples_per_segment)
-            if not is_attainable(sp, eps, p, margin=margin):
+        for k in range(1, 1000):
+            sp = interpolate_setpoint(seg_start, seg_end, k / 1000)
+            if not is_attainable(sp, eps, p, margin=PATH_MARGIN):
                 raise UnattainableError(
                     f"interpolated point {sp} fell outside the attainable set "
                     f"(eps={eps}); path certification failed")

@@ -200,87 +200,66 @@ def governor_step(y: Sequence[float], plan: WaypointPlan,
     return active_index
 
 
-def _march_segment(waypoints: list[Waypoint], near: Setpoint, far: Setpoint,
-                   seg_index: int, n_segs: int, last_segment: bool,
-                   floor: tuple[float, float],
-                   g: GainConfig, p: PlantParams, cert: GainCertificate,
-                   r_env: RadialEnvelope, max_waypoints: int) -> None:
-    """March waypoints from ``near`` (the final-reference side) toward ``far``.
-
-    The step out of each waypoint is its own ball radius minus half the
-    global floor, expressed as a fraction of the remaining segment; the
-    chain therefore satisfies the offset condition against the predecessor
-    by construction.  On the last segment the march stops once the remaining
-    span fits inside the chain end's ball, leaving the plan start-adjacent.
-    """
-    d_alpha, d_theta = floor
-    span_a = abs(far.alpha_bar - near.alpha_bar)
-    span_t = abs(far.theta_bar - near.theta_bar)
-    u = 0.0
-    while True:
-        prev = waypoints[-1]
-        fractions = []
-        if span_a > 0.0:
-            fractions.append((prev.dx_alpha - d_alpha / 2.0) / span_a)
-        if span_t > 0.0:
-            fractions.append((prev.dx_theta - d_theta / 2.0) / span_t)
-        if not fractions:
-            # purely radial segment: no angular ball constraint applies
-            return
-        step = min(fractions)
-        if step <= 0.0:
-            raise PlanError("waypoint ball radii fell below the spacing floor")
-        for _ in range(10):
-            u_next = min(1.0, u + step)
-            sp_next = interpolate_setpoint(near, far, u_next)
-            if (abs(sp_next.alpha_bar - prev.sp.alpha_bar)
-                    <= prev.dx_alpha + 1e-12
-                    and abs(sp_next.theta_bar - prev.sp.theta_bar)
-                    <= prev.dx_theta + 1e-12):
-                break
-            step *= 0.5  # guard float noise at segment corners
-        else:
-            raise PlanError("could not place a waypoint inside the "
-                            "predecessor's ball")
-        if u_next >= 1.0 and last_segment:
-            # remaining span fits in the chain end's ball; the start state
-            # (zero rates) is therefore already admissible
-            return
-        radii = ball_radii(sp_next, g, p, cert, r_env)
-        s_global = (seg_index + u_next) / n_segs
-        waypoints.append(Waypoint(sp=sp_next, s=s_global,
-                                  dx_alpha=radii[0], dx_theta=radii[1]))
-        if len(waypoints) > max_waypoints:
-            raise PlanError(f"waypoint count exceeded {max_waypoints}; ball "
-                            "radii are at the numerical floor")
-        u = u_next
-        if u >= 1.0:
-            return
+#: Cap on the chain length; reached only when the ball radii sit at the
+#: numerical floor.
+MAX_WAYPOINTS = 10_000
 
 
 def backtrack_plan(start: Setpoint, final: Setpoint, g: GainConfig,
                    p: PlantParams, cert: GainCertificate,
-                   r_env: RadialEnvelope,
-                   max_waypoints: int = 10_000) -> WaypointPlan:
+                   r_env: RadialEnvelope) -> WaypointPlan:
     """Build the waypoint chain from ``final`` back to ``start``.
 
     The interpolation path (one segment, or two joined at the vertical
-    apex) is certified attainable first; the chain then marches backwards
-    per segment.  When the whole path fits inside the final reference's
-    ball the plan is the single final waypoint.
+    apex) is certified attainable first; the chain then marches over its
+    segments backwards, final side first.  The step out of each waypoint is
+    its own ball radius minus half the global floor, as a fraction of the
+    segment's angular span, so each setpoint offset lies inside the
+    predecessor's ball with at least half the floor to spare.  On the last
+    segment the march stops once the remaining span fits inside the chain
+    end's ball, leaving the plan start-adjacent; when the whole path fits
+    inside the final reference's ball the plan is the single final
+    waypoint.
     """
     path = interpolate_path(start, final, g.eps, p)
     floor = min_radii(g, p, cert, r_env)
+    d_alpha, d_theta = floor
     final_radii = ball_radii(final, g, p, cert, r_env)
     waypoints = [Waypoint(sp=final, s=0.0, dx_alpha=final_radii[0],
                           dx_theta=final_radii[1])]
+    n_segs = len(path.segments)
     # path segments run start -> final; march them reversed, final side first
-    segments = list(reversed([(seg_end, seg_start)
-                              for seg_start, seg_end in path.segments]))
-    n_segs = len(segments)
-    for i, (near, far) in enumerate(segments):
-        _march_segment(waypoints, near, far, i, n_segs,
-                       last_segment=(i == n_segs - 1), floor=floor,
-                       g=g, p=p, cert=cert, r_env=r_env,
-                       max_waypoints=max_waypoints)
+    for i, (far, near) in enumerate(reversed(path.segments)):
+        span_a = abs(far.alpha_bar - near.alpha_bar)
+        span_t = abs(far.theta_bar - near.theta_bar)
+        if span_a == 0.0 and span_t == 0.0:
+            continue  # purely radial segment: no angular ball constraint
+        u = 0.0
+        while u < 1.0:
+            prev = waypoints[-1]
+            step = min(
+                (prev.dx_alpha - d_alpha / 2.0) / span_a
+                if span_a > 0.0 else math.inf,
+                (prev.dx_theta - d_theta / 2.0) / span_t
+                if span_t > 0.0 else math.inf)
+            if step <= 0.0:
+                raise PlanError("waypoint ball radii fell below the spacing floor")
+            u = min(1.0, u + step)
+            sp = interpolate_setpoint(near, far, u)
+            if not (abs(sp.alpha_bar - prev.sp.alpha_bar)
+                    <= prev.dx_alpha + 1e-12
+                    and abs(sp.theta_bar - prev.sp.theta_bar)
+                    <= prev.dx_theta + 1e-12):
+                raise PlanError("could not place a waypoint inside the "
+                                "predecessor's ball")
+            if u == 1.0 and i == n_segs - 1:
+                # remaining span fits in the chain end's ball; the start
+                # state (zero rates) is therefore already admissible
+                break
+            radii = ball_radii(sp, g, p, cert, r_env)
+            waypoints.append(Waypoint(sp=sp, s=(i + u) / n_segs,
+                                      dx_alpha=radii[0], dx_theta=radii[1]))
+            if len(waypoints) > MAX_WAYPOINTS:
+                raise PlanError(f"waypoint count exceeded {MAX_WAYPOINTS}; "
+                                "ball radii are at the numerical floor")
     return WaypointPlan(waypoints=tuple(waypoints), min_radii=floor)

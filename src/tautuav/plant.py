@@ -58,8 +58,9 @@ class PlantParams:
     def __post_init__(self) -> None:
         for name in ("m", "j_uav", "i_winch", "rho", "g"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,21 +185,19 @@ def resolve_taut_coupling(state: FullState, u: ControlInputs,
 
 
 def rk4_step(f: Callable[[float, Sequence], Sequence], t: float,
-             y: Sequence, dt: float, k1: Sequence | None = None) -> tuple:
+             y: Sequence, dt: float) -> tuple:
     """One classical fourth-order Runge-Kutta step of ``y' = f(t, y)``.
 
     ``y`` and the values of ``f`` are sequences of floats, or of equally
     shaped arrays to advance a batch; the arithmetic is elementwise either
     way, so a batch entry equals the scalar step bit for bit.  ``f`` gets
-    the intermediate stage states as lists.  ``k1`` passes an evaluation
-    ``f(t, y)`` the caller has already made.  Returns the new state as a
+    the intermediate stage states as lists.  Returns the new state as a
     tuple; checking it for finiteness is left to the caller.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     half = 0.5 * dt
-    if k1 is None:
-        k1 = f(t, y)
+    k1 = f(t, y)
     # list comprehensions: cheaper than generators on the scalar path
     k2 = f(t + half, [yi + half * ki for yi, ki in zip(y, k1)])
     k3 = f(t + half, [yi + half * ki for yi, ki in zip(y, k2)])

@@ -185,12 +185,6 @@ class TestInnerGain:
             assert value == pytest.approx(tv_gamma_in(other.zeta, other.k_pt),
                                           rel=1e-5)
 
-    def test_l1_rejects_bad_quadrature_args(self, gains):
-        with pytest.raises(ValueError):
-            tu.gamma_in_l1(gains, t_horizon=-1.0)
-        with pytest.raises(ValueError):
-            tu.gamma_in_l1(gains, dt=0.0)
-
     def test_empirical_peak_below_l1(self, gains):
         q = math.sqrt(gains.k_pt)
         freqs = q * np.logspace(-1.0, 0.7, 12)
@@ -235,6 +229,12 @@ class TestSmallGain:
         with pytest.raises(SmallGainError):
             tu.small_gain_certificate(gains, gamma_out=2.0, x_alpha0=0.0,
                                       x_theta0=0.0, r_min=0.5, gamma_in=0.5)
+
+    @pytest.mark.parametrize("gamma_out", [math.nan, math.inf])
+    def test_rejects_non_finite_outer_gain(self, gains, gamma_out):
+        with pytest.raises(ValueError, match="^gamma_out must be non-negative"):
+            tu.small_gain_certificate(gains, gamma_out=gamma_out, x_alpha0=0.0,
+                                      x_theta0=0.0, r_min=0.5)
 
     def test_stiffness_condition_flag(self, gains):
         cert = tu.small_gain_certificate(gains, gamma_out=14.0, x_alpha0=0.0,

@@ -88,6 +88,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             parse_config(text)
 
+    @pytest.mark.parametrize("key", ["m", "g", "k_pt", "lambda2", "k_da",
+                                     "hover_tension", "eps", "gamma_out",
+                                     "r_bar"])
+    def test_infinite_value_names_key(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            parse_config(f"{key} = inf")
+
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2.*zeta_typo"):
             parse_config("m = 2.0\nzeta_typo = 0.9")
@@ -219,6 +226,32 @@ class TestMain:
         assert code == 1
         err = capsys.readouterr().err
         assert f"configuration error: {key} must be" in err
+
+    @pytest.mark.parametrize("subcommand", ["certify", "simulate"])
+    def test_infinite_reference_radius_exit_one(self, tmp_path, capsys,
+                                                subcommand):
+        # an infinite radius would give NaN ball radii and a passing
+        # certificate
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("r_bar = inf\n")
+        code = cli.main([subcommand, "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error: r_bar must be" in err
+
+    def test_attainable_set_nan_margin_exit_one(self, capsys):
+        code = cli.main(["attainable-set", "--eps", "nan", "--grid", "3"])
+        assert code == 1
+        assert "error: eps must be" in capsys.readouterr().err
+
+    def test_diverging_flight_exit_one(self, tmp_path, capsys):
+        # a finite but stiff attitude gain overflows the fixed-step RK4
+        cfg = tmp_path / "stiff.cfg"
+        cfg.write_text("k_pt = 1e8\n")
+        code = cli.main(["simulate", "--mode", "inner-no-rg", "--t-final",
+                         "0.5", "--config", str(cfg)])
+        assert code == 1
+        assert "error: non-finite state" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["simulate", "certify",
                                             "attainable-set", "sweep"])

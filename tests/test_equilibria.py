@@ -34,6 +34,10 @@ class TestThetaLimit:
         with pytest.raises(SingularSetpointError):
             tu.theta_limit(math.pi / 2.0, 0.0, plant)
 
+    def test_rejects_nan_margin(self, plant):
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            tu.theta_limit(0.3, math.nan, plant)
+
     def test_continuity(self, plant):
         eps = 2.0
         # keep a + h strictly below the vertical singularity
@@ -130,7 +134,7 @@ class TestPaths:
     def test_single_segment_sampling(self, plant):
         a = tu.Setpoint(1.0, math.pi / 4.0, 0.1)
         b = tu.Setpoint(1.0, math.pi / 3.0, 0.1)
-        path = tu.interpolate_path(a, b, 0.0, plant, samples_per_segment=1000)
+        path = tu.interpolate_path(a, b, 0.0, plant)
         assert len(path.segments) == 1
         for k in range(1, 1000):
             sp = interpolate_setpoint(a, b, k / 1000)
@@ -226,6 +230,11 @@ class TestTypes:
             tu.Setpoint(1.0, -0.2, 0.1)
         with pytest.raises(ValueError, match="vertical"):
             tu.Setpoint(1.0, math.pi / 2.0, 0.1)
+
+    @pytest.mark.parametrize("r_bar", [math.inf, math.nan])
+    def test_setpoint_rejects_non_finite_radius(self, r_bar):
+        with pytest.raises(ValueError, match="^r_bar must be positive"):
+            tu.Setpoint(r_bar, 0.3, 0.1)
 
     def test_pathspec_validation(self):
         a = tu.Setpoint(1.0, 0.3, 0.1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tautuav as tu
+from tautuav import governor
 from tautuav.governor import (InfeasibleRadiiError, PlanError,
                               _radii_for_tension)
 
@@ -127,11 +128,33 @@ class TestBacktrackPlan:
             assert sep > 0.0
 
     def test_waypoint_cap(self, plant, gains, default_certificate,
-                          start_setpoint, ref_setpoint):
+                          start_setpoint, ref_setpoint, monkeypatch):
         cert, env = default_certificate
-        with pytest.raises(PlanError, match="exceeded"):
+        monkeypatch.setattr(governor, "MAX_WAYPOINTS", 3)
+        with pytest.raises(PlanError, match="exceeded 3"):
             tu.backtrack_plan(start_setpoint, ref_setpoint, gains, plant,
-                              cert, env, max_waypoints=3)
+                              cert, env)
+
+    @pytest.mark.parametrize("seed, halves", [
+        (31, ("low", "low")), (32, ("high", "high")),
+        (33, ("low", "high")), (34, ("high", "low"))])
+    def test_offsets_keep_half_the_floor(self, plant, gains,
+                                         default_certificate, seed, halves):
+        """Each step is the predecessor's radius minus half the floor, so
+        every offset clears the ball by floor/2 on both axes; the ball
+        containment check behind it can therefore never fail."""
+        cert, env = default_certificate
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            start = sample_attainable(rng, gains.eps, plant, half=halves[0])
+            final = sample_attainable(rng, gains.eps, plant, half=halves[1])
+            plan = tu.backtrack_plan(start, final, gains, plant, cert, env)
+            d_alpha, d_theta = plan.min_radii
+            for prev, nxt in zip(plan.waypoints, plan.waypoints[1:]):
+                assert (abs(nxt.sp.alpha_bar - prev.sp.alpha_bar)
+                        <= prev.dx_alpha - d_alpha / 2.0 + 1e-12)
+                assert (abs(nxt.sp.theta_bar - prev.sp.theta_bar)
+                        <= prev.dx_theta - d_theta / 2.0 + 1e-12)
 
     def test_radial_only_move_needs_no_intermediates(self, plant, gains,
                                                      default_certificate):

@@ -147,3 +147,9 @@ def test_plant_params_validation():
         tu.PlantParams(m=0.0)
     with pytest.raises(ValueError, match="rho"):
         tu.PlantParams(rho=-0.1)
+
+
+@pytest.mark.parametrize("name", ["m", "j_uav", "i_winch", "rho", "g"])
+def test_plant_params_reject_infinite(name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        tu.PlantParams(**{name: math.inf})

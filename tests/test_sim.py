@@ -63,18 +63,6 @@ class TestRK4:
         assert np.array_equal(batch[0], [y[0] for y in scalars])
         assert np.array_equal(batch[1], [y[1] for y in scalars])
 
-    def test_reuses_given_first_stage(self):
-        calls = []
-
-        def rhs(t, y):
-            calls.append(t)
-            return (-y[0],)
-
-        y = (2.0,)
-        assert (tu.rk4_step(rhs, 0.0, y, 0.1, k1=rhs(0.0, y))
-                == tu.rk4_step(rhs, 0.0, y, 0.1))
-        assert calls == [0.0, 0.05, 0.05, 0.1, 0.0, 0.05, 0.05, 0.1]
-
 
 class TestClosedLoopStep:
     @staticmethod
