@@ -8,15 +8,20 @@ digests: every logged column, the detected events, the waypoint plan and
 the invariant monitor's rows.  A last line digests, without flying them,
 the waypoint plans and gain certificates of the governed reference run and
 of the missions drawn for seeds 0-59, so that a change to plan
-construction is checked on far more plans than are flown.  Run it in two
+construction is checked on far more plans than are flown.  The very last
+line gives ``repr`` of the default sweep of ``estimate_gamma_out`` and a
+digest of the ``certify --estimate-gamma-out`` report, both on
+configs/default.cfg.  Run it in two
 checkouts and ``diff`` the outputs to show that a change leaves every
 trajectory and plan bit-identical:
 
     python3 scripts/trajectory_digests.py > after.txt
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import sys
 from pathlib import Path
 
@@ -28,6 +33,7 @@ import numpy as np
 import tautuav as tu
 from perfbench.workloads import (MISSION_T_FINAL, MISSIONS_PER_PASS,
                                  REFERENCE_RG_T_FINAL, sample_missions)
+from tautuav import analysis, cli
 from tautuav.cli import build_plan, parse_config, simulate
 
 SEEDS = (0, 1)
@@ -65,7 +71,8 @@ def missions(p, g, base, seeds):
 
 
 def main() -> int:
-    p, g, base = parse_config((ROOT / "configs" / "default.cfg").read_text())
+    config = ROOT / "configs" / "default.cfg"
+    p, g, base = parse_config(config.read_text())
     for mode in tu.ScenarioMode:
         cfg = dataclasses.replace(base, mode=mode)
         if mode is tu.ScenarioMode.INNER_WITH_RG:
@@ -76,6 +83,14 @@ def main() -> int:
     cfgs = [base] + [cfg for _, cfg in missions(p, g, base, PLAN_SEEDS)]
     print(f"plans reference+seeds-0-59 count={len(cfgs)} "
           f"plans+certificates={sha(*(build_plan(p, g, c) for c in cfgs))}",
+          flush=True)
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        code = cli.main(["certify", "--config", str(config),
+                         "--estimate-gamma-out"])
+    print(f"gamma_out estimate="
+          f"{analysis.estimate_gamma_out(base.reference, g, p)!r} "
+          f"certify-estimate exit={code} report={sha(report.getvalue())}",
           flush=True)
     return 0
 

@@ -34,6 +34,10 @@ from .control import GainConfig
 from .plant import FullState, PlantParams, rk4_step
 
 
+# RK4 steps per vectorised forcing and pitch-rate pass of estimate_gamma_out
+SWEEP_CHUNK = 64
+
+
 class SmallGainError(ValueError):
     """Raised when the inner/outer gain product is not below one."""
 
@@ -339,50 +343,136 @@ def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
 
     No closed form exists for this gain, so it is estimated by driving the
     exact elevation error dynamics at radial rest with a worst-amplitude
-    pitch-error sinusoid ``theta_tilde_max * sin(w*t)`` over a frequency
-    grid, reading the commanded pitch by the thrust-vectoring law,
-    differencing it, and taking the peak trailing-window ratio times a
+    pitch-error sinusoid ``theta_tilde_max * sin(w*t)`` at every frequency
+    of the grid at once (by default 25 log-spaced frequencies from
+    ``10**-1.2`` to ``10**1.2`` times ``sqrt(k_pa)``).  Classical RK4 runs
+    ``8/(zeta*sqrt(k_pa))`` seconds of settling plus four periods of the
+    slowest frequency, at 80 steps per period of the fastest (at most 1/400
+    of the settling time).  The commanded pitch of the thrust-vectoring law
+    is differenced backward after every step; the estimate is the peak of
+    that rate over the settled steps, divided by the amplitude, times a
     safety factor of 2.
+
+    The sweep is bound by the cost of numpy calls, not by arithmetic, so
+    it runs in chunks of :data:`SWEEP_CHUNK` steps.  The forcing at every
+    stage time of a chunk is evaluated in one pass; each step works in
+    place on ``(3, nf)`` stage buffers ``[a_err; a_dot; accel]``, whose rows
+    0-1 are the stage state and rows 1-2 its derivative; the commanded
+    pitch and its rate are computed once per chunk.  Every value goes
+    through the same float operations in the same order as
+    :func:`~tautuav.plant.rk4_step` stepping the plain derivative, so the
+    estimate is bit-identical to that direct loop.
     """
     t_bar = equilibria.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
     w_alpha = math.sqrt(g.k_pa)
     if freqs is None:
         freqs = w_alpha * np.logspace(-1.2, 1.2, 25)
-    freqs = np.asarray(freqs, dtype=float)
+    freqs = np.asarray(freqs, dtype=float).ravel()
     amp = g.theta_tilde_max
     r = sp.r_bar
     t_settle = 8.0 / (g.zeta * w_alpha)
     t_final = t_settle + 4.0 * 2.0 * math.pi / freqs.min()
     dt = min(2.0 * math.pi / freqs.max() / 80.0, t_settle / 400.0)
     n = int(math.ceil(t_final / dt))
+    half = 0.5 * dt
 
-    def theta_c_of(a_err, a_dot):
-        alpha = sp.alpha_bar + a_err
-        u_t = t_bar + p.m * p.g * np.sin(alpha)
-        u_alpha = (p.m * p.g * np.cos(alpha)
-                   - p.m * r * (g.k_pa * a_err + g.k_da * a_dot))
-        return math.pi / 2.0 - alpha - np.arctan2(u_alpha, u_t)
+    # The step loop hands every ufunc same-shape arrays and its output as the
+    # third positional argument: a Python scalar operand, a (2, 1) broadcast
+    # or the out= keyword each cost more than the arithmetic on 25 entries.
+    # A constant filled across the grid (suffix _f) gives the same products
+    # and sums.
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+    sin, cos = np.sin, np.cos
+    nf = freqs.size
+    alpha_bar_f, t_bar_f, mg_f, g_f, r_f, mr_f = (
+        np.full(nf, v) for v in (sp.alpha_bar, t_bar, p.m * p.g, p.g, r,
+                                 p.m * r))
+    gains_f = np.repeat([[g.k_pa], [g.k_da]], nf, axis=1)
+    half_f, dt_f, two_f, sixth_f = (np.full((2, nf), v)
+                                    for v in (half, dt, 2.0, dt / 6.0))
+    alpha, u_t, gam = np.empty((3, nf))
+    pd, acc, tmp = np.empty((3, 2, nf))
+    pd_a, pd_d = pd
 
-    def deriv(t, y):
-        a_err, a_dot = y
-        tt = amp * np.sin(freqs * t)
-        cos_tt = np.cos(tt)
-        alpha = sp.alpha_bar + a_err
-        u_t = t_bar + p.m * p.g * np.sin(alpha)
-        gam = ((p.g * np.cos(alpha) / r) * (cos_tt - 1.0)
-               - u_t * np.sin(tt) / (p.m * r))
-        return a_dot, -(g.k_pa * a_err + g.k_da * a_dot) * cos_tt + gam
+    def forcing(times):
+        """Rows of (-cos, cos - 1, sin) of the pitch error at each time."""
+        tt = amp * sin(np.multiply.outer(times, freqs))
+        cos_tt = cos(tt)
+        return zip(-cos_tt, cos_tt - 1.0, sin(tt))
 
-    y = (np.zeros_like(freqs), np.zeros_like(freqs))
-    peak = np.zeros_like(freqs)
-    prev_tc = theta_c_of(*y)
+    def accel(a_err, y, out, neg_cos_tt, cos_tt_m1, sin_tt):
+        """Elevation acceleration at the stage state ``y = [a_err; a_dot]``:
+
+            out = -(k_pa*a_err + k_da*a_dot) * cos(tt) + gam
+            gam = (g*cos(alpha)/r) * (cos(tt) - 1) - u_t*sin(tt)/(m*r)
+            u_t = t_bar + m*g*sin(alpha),  alpha = alpha_bar + a_err
+        """
+        add(alpha_bar_f, a_err, alpha)
+        sin(alpha, u_t)
+        mul(mg_f, u_t, u_t)
+        add(t_bar_f, u_t, u_t)
+        mul(u_t, sin_tt, u_t)
+        div(u_t, mr_f, u_t)
+        cos(alpha, gam)
+        mul(g_f, gam, gam)
+        div(gam, r_f, gam)
+        mul(gam, cos_tt_m1, gam)
+        sub(gam, u_t, gam)
+        mul(gains_f, y, pd)
+        add(pd_a, pd_d, out)
+        mul(out, neg_cos_tt, out)
+        add(out, gam, out)
+
+    def views(z):
+        """(a_err, state, derivative, accel) views of a (3, nf) stage buffer."""
+        return z[0], z[0:2], z[1:3], z[2]
+
+    # row j: [a_err; a_dot; accel] after j steps of the chunk; row 0 carries
+    # the last state of the previous chunk
+    states = np.zeros((SWEEP_CHUNK + 1, 3, nf))
+    rows = [views(z) for z in states]
+    (e2, y2, k2, a2), (e3, y3, k3, a3), (e4, y4, k4, a4) = (
+        views(z) for z in np.empty((3, 3, nf)))
+    peak = np.zeros(nf)
     t = 0.0
-    for k in range(n):
-        y = rk4_step(deriv, t, y, dt)
-        t += dt
-        tc = theta_c_of(*y)
-        if t >= t_settle:
-            np.maximum(peak, np.abs(tc - prev_tc) / dt, out=peak)
-        prev_tc = tc
+    for start in range(0, n, SWEEP_CHUNK):
+        m = min(SWEEP_CHUNK, n - start)
+        ts = [t]
+        for _ in range(m):
+            t += dt
+            ts.append(t)
+        times = np.array(ts)
+        f_ends = forcing(times)
+        f_start = next(f_ends)
+        for (e1, y1, k1, a1), nxt, f_mid, f_end in zip(
+                rows, rows[1:], forcing(times[:-1] + half), f_ends):
+            accel(e1, y1, a1, *f_start)
+            mul(half_f, k1, y2)
+            add(y1, y2, y2)
+            accel(e2, y2, a2, *f_mid)
+            mul(half_f, k2, y3)
+            add(y1, y3, y3)
+            accel(e3, y3, a3, *f_mid)
+            mul(dt_f, k3, y4)
+            add(y1, y4, y4)
+            accel(e4, y4, a4, *f_end)
+            # y + (dt/6) * (((k1 + 2*k2) + 2*k3) + k4)
+            mul(two_f, k2, acc)
+            add(k1, acc, acc)
+            mul(two_f, k3, tmp)
+            add(acc, tmp, acc)
+            add(acc, k4, acc)
+            mul(sixth_f, acc, acc)
+            add(y1, acc, nxt[1])
+            f_start = f_end
+        a_err, a_dot = states[:m + 1, 0], states[:m + 1, 1]
+        alpha_c = sp.alpha_bar + a_err
+        u_t_c = t_bar + p.m * p.g * np.sin(alpha_c)
+        u_alpha = (p.m * p.g * np.cos(alpha_c)
+                   - p.m * r * (g.k_pa * a_err + g.k_da * a_dot))
+        theta_c = math.pi / 2.0 - alpha_c - np.arctan2(u_alpha, u_t_c)
+        rate = np.abs(np.diff(theta_c, axis=0)[times[1:] >= t_settle]) / dt
+        if rate.size:
+            np.maximum(peak, rate.max(axis=0), out=peak)
+        states[0] = states[m]
     return 2.0 * float(peak.max()) / amp
-

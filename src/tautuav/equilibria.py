@@ -95,8 +95,8 @@ def theta_limit(alpha_bar: float, eps: float, p: PlantParams) -> float:
         raise ValueError(f"alpha_bar must lie in [0, pi], got {alpha_bar}")
     if alpha_bar == HALF_PI:
         raise SingularSetpointError("theta_limit is singular at alpha_bar = pi/2")
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be non-negative and finite, got {eps}")
     base = math.atan(eps / (p.m * p.g * math.cos(alpha_bar)) + math.tan(alpha_bar))
     if alpha_bar > HALF_PI:
         base += math.pi

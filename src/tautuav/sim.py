@@ -63,8 +63,8 @@ class SimConfig:
     tension_min: float = 0.0  # taut-constraint threshold; 0 for an ideal cable
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.dt < self.t_final < math.inf:
             raise ValueError(f"t_final must be finite and exceed dt, "
                              f"got {self.t_final}")

@@ -282,6 +282,85 @@ class TestErrorTerms:
             assert t_pred == pytest.approx(log.tension[i], abs=1e-8)
 
 
+def direct_gamma_out(sp, g, p, freqs):
+    """The sweep of estimate_gamma_out written as one plant.rk4_step per step.
+
+    Returns the estimate, the step count and the first settled step.
+    """
+    t_bar = tu.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
+    w_alpha = math.sqrt(g.k_pa)
+    freqs = np.asarray(freqs, dtype=float)
+    amp = g.theta_tilde_max
+    r = sp.r_bar
+    t_settle = 8.0 / (g.zeta * w_alpha)
+    t_final = t_settle + 4.0 * 2.0 * math.pi / freqs.min()
+    dt = min(2.0 * math.pi / freqs.max() / 80.0, t_settle / 400.0)
+    n = int(math.ceil(t_final / dt))
+
+    def theta_c_of(a_err, a_dot):
+        alpha = sp.alpha_bar + a_err
+        u_t = t_bar + p.m * p.g * np.sin(alpha)
+        u_alpha = (p.m * p.g * np.cos(alpha)
+                   - p.m * r * (g.k_pa * a_err + g.k_da * a_dot))
+        return math.pi / 2.0 - alpha - np.arctan2(u_alpha, u_t)
+
+    def deriv(t, y):
+        a_err, a_dot = y
+        tt = amp * np.sin(freqs * t)
+        cos_tt = np.cos(tt)
+        alpha = sp.alpha_bar + a_err
+        u_t = t_bar + p.m * p.g * np.sin(alpha)
+        gam = ((p.g * np.cos(alpha) / r) * (cos_tt - 1.0)
+               - u_t * np.sin(tt) / (p.m * r))
+        return a_dot, -(g.k_pa * a_err + g.k_da * a_dot) * cos_tt + gam
+
+    y = (np.zeros_like(freqs), np.zeros_like(freqs))
+    peak = np.zeros_like(freqs)
+    prev_tc = theta_c_of(*y)
+    t = 0.0
+    first_settled = None
+    for k in range(n):
+        y = tu.rk4_step(deriv, t, y, dt)
+        t += dt
+        tc = theta_c_of(*y)
+        if t >= t_settle:
+            first_settled = k if first_settled is None else first_settled
+            np.maximum(peak, np.abs(tc - prev_tc) / dt, out=peak)
+        prev_tc = tc
+    return 2.0 * float(peak.max()) / amp, n, first_settled
+
+
+class TestEstimateGammaOut:
+    """The chunked, in-place sweep equals the direct RK4 loop bit for bit."""
+
+    @staticmethod
+    def check(sp, g, p, freqs):
+        want, n, settled = direct_gamma_out(sp, g, p, freqs)
+        assert analysis.estimate_gamma_out(sp, g, p, freqs=freqs) == want
+        return n, settled
+
+    @pytest.mark.parametrize("index, zeta", [(0, 0.1), (12, 0.9), (24, 0.9)])
+    def test_single_default_frequency(self, plant, gains, ref_setpoint,
+                                      index, zeta):
+        # the lowest entry's sweep is settling-limited: 18k steps at the
+        # default damping, 2.4k at zeta = 0.1
+        g = dataclasses.replace(gains, zeta=zeta, k_da=None)
+        grid = math.sqrt(g.k_pa) * np.logspace(-1.2, 1.2, 25)
+        self.check(ref_setpoint, g, plant, grid[index:index + 1])
+
+    def test_sweep_shorter_than_one_chunk(self, plant, gains, ref_setpoint,
+                                          monkeypatch):
+        monkeypatch.setattr(analysis, "SWEEP_CHUNK", 1024)
+        n, _ = self.check(ref_setpoint, gains, plant,
+                          math.sqrt(gains.k_pa) * np.array([3.0, 3.3, 3.5]))
+        assert n < analysis.SWEEP_CHUNK
+
+    def test_settling_inside_a_ragged_chunk(self, plant, gains, ref_setpoint):
+        n, settled = self.check(ref_setpoint, gains, plant,
+                                math.sqrt(gains.k_pa) * np.array([3.0, 3.5]))
+        assert n % analysis.SWEEP_CHUNK and settled % analysis.SWEEP_CHUNK
+
+
 def test_estimate_gamma_out_sane(plant, gains, ref_setpoint):
     freqs = math.sqrt(gains.k_pa) * np.logspace(-0.7, 0.7, 8)
     value = analysis.estimate_gamma_out(ref_setpoint, gains, plant, freqs=freqs)

@@ -54,6 +54,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"dt=0\.003 .*t_final=10\.0"):
             parse_config("dt = 0.003\nt_final = 10\n")
 
+    def test_infinite_step_names_dt(self):
+        with pytest.raises(ConfigError, match="^dt must be positive and finite"):
+            parse_config("dt = inf")
+
     def test_dwell_not_whole_steps_rejected(self):
         with pytest.raises(ConfigError,
                            match=r"dt=0\.002 .*convergence_dwell=0\.003"):
@@ -241,6 +245,11 @@ class TestMain:
 
     def test_attainable_set_nan_margin_exit_one(self, capsys):
         code = cli.main(["attainable-set", "--eps", "nan", "--grid", "3"])
+        assert code == 1
+        assert "error: eps must be" in capsys.readouterr().err
+
+    def test_attainable_set_infinite_margin_exit_one(self, capsys):
+        code = cli.main(["attainable-set", "--eps", "inf", "--grid", "3"])
         assert code == 1
         assert "error: eps must be" in capsys.readouterr().err
 
