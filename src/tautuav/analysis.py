@@ -17,8 +17,6 @@ Everything here turns the closed-loop structure into checkable numbers:
   below one, the interconnection's peak errors are bounded linearly by the
   initial errors through a 2x2 gain matrix; inverting that bound is what
   converts tension-safety limits into initial-condition ball radii.
-* **Error terms** -- the exact perturbation coefficients that a nonzero
-  pitch error injects into the elevation dynamics and the cable tension.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 
 from . import equilibria
 from .control import GainConfig
-from .plant import FullState, PlantParams, rk4_step
+from .plant import PlantParams
 
 
 # RK4 steps per vectorised forcing and pitch-rate pass of estimate_gamma_out
@@ -263,80 +261,6 @@ def small_gain_certificate(g: GainConfig, gamma_out: float,
     )
 
 
-def error_terms(state: FullState, t_bar: float, theta_tilde: float,
-                u_t: float, u_alpha: float, p: PlantParams
-                ) -> tuple[float, float, float]:
-    """Exact pitch-error perturbation of the elevation loop and the tension.
-
-    Returns ``(delta, gamma, t_predicted)`` where the elevation error obeys
-
-        alpha_ddot = -(k_pa*a_err + k_da*alpha_dot) * cos(theta_tilde)
-                     + delta * alpha_dot + gamma
-
-    with ``delta = (2*r_dot/r) * (cos(theta_tilde) - 1)`` and
-
-        gamma = (g*cos(alpha)/r) * (cos(theta_tilde) - 1)
-                - u_t * sin(theta_tilde) / (m*r)
-
-    and the cable tension equals
-
-        t_predicted = m*r*alpha_dot**2 + t_bar
-                      - u_t*(1 - cos(theta_tilde)) + u_alpha*sin(theta_tilde).
-
-    Both trig factors carry ``cos(theta_tilde) - 1``; expanding the thrust
-    rotation leaves no sign asymmetry between them.
-    """
-    if not state.r > 0.0:
-        raise ValueError(f"taut model requires r > 0, got r={state.r}")
-    cos_t = math.cos(theta_tilde)
-    sin_t = math.sin(theta_tilde)
-    delta = (2.0 * state.r_dot / state.r) * (cos_t - 1.0)
-    gamma = ((p.g * math.cos(state.alpha) / state.r) * (cos_t - 1.0)
-             - u_t * sin_t / (p.m * state.r))
-    t_predicted = (p.m * state.r * state.alpha_dot ** 2 + t_bar
-                   - u_t * (1.0 - cos_t) + u_alpha * sin_t)
-    return delta, gamma, t_predicted
-
-
-def empirical_inner_peak_gain(g: GainConfig,
-                              freqs: np.ndarray | None = None) -> float:
-    """Peak steady-state gain of the attitude error loop under sinusoidal drive.
-
-    Simulates the error-coordinate attitude loop (the realisation whose
-    impulse response :func:`gamma_in_l1` integrates) driven by a unit
-    commanded-pitch-rate sinusoid at each frequency (four cycles of the
-    slowest after settling, 60 steps per period of the fastest), and
-    returns the largest trailing-window amplitude ratio.  The L1 norm
-    dominates this peak gain for any single-input single-output linear
-    system, which is what the consistency suite checks.
-    """
-    q = math.sqrt(g.k_pt)
-    if freqs is None:
-        freqs = q * np.logspace(-1.5, 1.0, 30)
-    freqs = np.asarray(freqs, dtype=float)
-    t_settle = 10.0 / (g.zeta * q)
-    t_final = t_settle + 4.0 * 2.0 * math.pi / freqs.min()
-    dt = min(2.0 * math.pi / freqs.max() / 60.0, t_settle / 200.0)
-    n = int(math.ceil(t_final / dt))
-
-    x = (np.zeros_like(freqs), np.zeros_like(freqs))
-    peak = np.zeros_like(freqs)
-    two_zq = 2.0 * g.zeta * q
-
-    def deriv(t, y):
-        y1, y2 = y
-        u = np.sin(freqs * t)
-        return y2 - u, -g.k_pt * y1 - two_zq * (y2 - u)
-
-    t = 0.0
-    for k in range(n):
-        x = rk4_step(deriv, t, x, dt)
-        t += dt
-        if t >= t_settle:
-            np.maximum(peak, np.abs(x[0]), out=peak)
-    return float(peak.max())
-
-
 def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
                        freqs: np.ndarray | None = None) -> float:
     """Empirical outer asymptotic gain from pitch error to commanded pitch rate.
@@ -351,7 +275,19 @@ def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
     of the settling time).  The commanded pitch of the thrust-vectoring law
     is differenced backward after every step; the estimate is the peak of
     that rate over the settled steps, divided by the amplitude, times a
-    safety factor of 2.
+    safety factor of 2.  :func:`_gamma_out_sweep` runs the sweep.
+    """
+    if freqs is None:
+        freqs = math.sqrt(g.k_pa) * np.logspace(-1.2, 1.2, 25)
+    peak, _ = _gamma_out_sweep(sp, g, p, freqs)
+    return 2.0 * float(peak.max()) / g.theta_tilde_max
+
+
+def _gamma_out_sweep(sp, g: GainConfig, p: PlantParams,
+                     freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep of :func:`estimate_gamma_out` over ``freqs``, flattened:
+    the peak commanded-pitch rate over the settled steps at each frequency,
+    and the final ``[a_err; a_dot]``, shape ``(2, nf)``.
 
     The sweep is bound by the cost of numpy calls, not by arithmetic, so
     it runs in chunks of :data:`SWEEP_CHUNK` steps.  The forcing at every
@@ -361,12 +297,10 @@ def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
     pitch and its rate are computed once per chunk.  Every value goes
     through the same float operations in the same order as
     :func:`~tautuav.plant.rk4_step` stepping the plain derivative, so the
-    estimate is bit-identical to that direct loop.
+    peaks and the final state are bit-identical to that direct loop's.
     """
     t_bar = equilibria.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
     w_alpha = math.sqrt(g.k_pa)
-    if freqs is None:
-        freqs = w_alpha * np.logspace(-1.2, 1.2, 25)
     freqs = np.asarray(freqs, dtype=float).ravel()
     amp = g.theta_tilde_max
     r = sp.r_bar
@@ -475,4 +409,4 @@ def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
         if rate.size:
             np.maximum(peak, rate.max(axis=0), out=peak)
         states[0] = states[m]
-    return 2.0 * float(peak.max()) / amp
+    return peak, states[0, :2].copy()

@@ -193,21 +193,6 @@ def emit_log(log: TrajectoryLog, dest: Path) -> None:
         raise OSError(f"cannot write trajectory log to {dest}: {exc}") from exc
 
 
-def parse_log(text: str) -> tuple[dict[str, np.ndarray], list[str]]:
-    """Read back an emitted CSV: column arrays plus the raw event comments."""
-    lines = text.strip().splitlines()
-    header = lines[0].split(",")
-    rows = []
-    comments = []
-    for line in lines[1:]:
-        if line.startswith("#"):
-            comments.append(line)
-        elif line.strip():
-            rows.append([float(v) for v in line.split(",")])
-    data = np.asarray(rows)
-    return {name: data[:, i] for i, name in enumerate(header)}, comments
-
-
 def attainable_set_sample(eps: float, grid: int, p: PlantParams) -> np.ndarray:
     """Sample the admissible pitch interval per elevation grid point.
 

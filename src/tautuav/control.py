@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import atan2, copysign, cos, hypot, sin
+from math import atan2, cos, hypot, sin
 from typing import Sequence
 
 from . import equilibria
@@ -193,12 +193,13 @@ def closed_loop_rhs(y: Sequence[float], law: tuple) -> tuple:
     r, r_dot, alpha, alpha_dot, theta, theta_dot = y
     if not r > 0.0:
         raise ValueError(f"taut model requires r > 0, got r={r}")
-    # nested saturation; `lam if lam < a else a` is min(a, lam) exactly
+    # nested saturation as comparisons: copysign(min(abs(x), lam), x)
+    # exactly, a signed zero and a NaN passing through unchanged
     x = k_pr * (r - r_bar)
-    a = abs(x)
-    x = k_dr * r_dot + copysign(lambda2 if lambda2 < a else a, x)
-    a = abs(x)
-    r_ddot = -copysign(lambda1 if lambda1 < a else a, x)
+    x = k_dr * r_dot + (lambda2 if x > lambda2
+                        else -lambda2 if x < -lambda2 else x)
+    r_ddot = (-lambda1 if x > lambda1
+              else lambda1 if x < -lambda1 else -x)
     # thrust vectoring: tension channel u_t, elevation channel u_alpha
     sin_a = sin(alpha)
     mr = m * r

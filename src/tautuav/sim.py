@@ -11,7 +11,10 @@ entries; the two are tested equal bit for bit.
 
 The step loop does only the work that needs the live state and logs raw
 rows; :func:`_finish_log` derives the rest from the logged columns once the
-flight ends.  The first tension threshold crossing is located by linear
+flight ends.  A flight that settles at its final equilibrium usually reaches
+a state that one RK4 step maps to itself bit for bit; from there every row
+would repeat, so the loop stops integrating and the log is filled by
+copying that row.  The first tension threshold crossing is located by linear
 interpolation between the bracketing steps (reported at 1e-4 s resolution),
 and convergence is declared at the start of the first window in which the
 six-state error norm stays below tolerance for the dwell period.  A tension
@@ -24,6 +27,7 @@ from __future__ import annotations
 import array
 import enum
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,6 +169,13 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
     left to test), so reference switches land on the step grid and the
     applied reference is piecewise constant, held through the step's RK4
     stages.
+
+    When a step returns its own state bit for bit (``-0.0`` told from
+    ``0.0``) and the law was not settled on that step, the later rows are
+    copies of this one, with ``t`` still ``k * dt``: the kernel does not
+    read ``t``, the law changes only on a switch, and the supervisor, pure in
+    ``(y, plan, index)``, has just returned the index it would be given
+    again.
     """
     mode = cfg.mode
     ideal = mode is ScenarioMode.IDEAL_ATTITUDE
@@ -194,7 +205,8 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
                 wp_index = index
                 switch_times.append(t)
                 law = None
-        if law is None:
+        settled = law is None  # at k = 0 and after a switch
+        if settled:
             sp = (cfg.reference if wp_index < 0
                   else plan.waypoints[wp_index].sp)
             law = closed_loop(sp, g, p, ideal_attitude=ideal)
@@ -206,12 +218,20 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
         if k == n_steps:
             break
 
-        y = closed_loop_rk4_step(y, deriv, law, dt)
+        y_next = closed_loop_rk4_step(y, deriv, law, dt)
+        if (y_next == y and not settled
+                and struct.pack("6d", *y_next) == struct.pack("6d", *y)):
+            break  # a fixed point: every later row repeats this one
+        y = y_next
         if not all(map(math.isfinite, y)):
             raise SimulationDiverged(f"non-finite state at t={t + dt}: {y}")
 
-    raw = np.frombuffer(rows).reshape(-1, 13).T.copy()
+    logged = len(rows) // 13
+    raw = np.empty((13, n_steps + 1))
+    raw[:, :logged] = np.frombuffer(rows).reshape(logged, 13).T
     del rows  # free the row buffer before _finish_log's temporaries
+    raw[:, logged:] = raw[:, logged - 1:logged]
+    raw[0, logged:] = np.arange(logged, n_steps + 1) * dt
     return _finish_log(raw, cfg, tuple(switch_times))
 
 

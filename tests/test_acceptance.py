@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 import tautuav as tu
-from tautuav.analysis import empirical_inner_peak_gain
 from tautuav.cli import _certificate, parse_config
 
 from conftest import sample_attainable, simulate_radial_batch
+from oracles import empirical_inner_peak_gain
 
 
 def report(n: int, ok: bool, detail: str) -> None:

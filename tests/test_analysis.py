@@ -8,9 +8,10 @@ import pytest
 
 import tautuav as tu
 from tautuav import analysis
-from tautuav.analysis import SmallGainError, empirical_inner_peak_gain
+from tautuav.analysis import SmallGainError
 
 from conftest import simulate_radial_batch
+from oracles import empirical_inner_peak_gain, error_terms
 
 
 def tv_gamma_in(zeta: float, k_pt: float) -> float:
@@ -254,8 +255,8 @@ class TestErrorTerms:
     def test_zero_pitch_error(self, plant):
         state = tu.FullState(0.8, 0.1, 1.0, 0.5, 0.0, 0.0)
         t_bar = 3.0
-        delta, gamma, t_pred = analysis.error_terms(state, t_bar, 0.0,
-                                                    u_t=10.0, u_alpha=-4.0, p=plant)
+        delta, gamma, t_pred = error_terms(state, t_bar, 0.0,
+                                           u_t=10.0, u_alpha=-4.0, p=plant)
         assert delta == 0.0
         assert gamma == 0.0
         assert t_pred == pytest.approx(
@@ -264,8 +265,8 @@ class TestErrorTerms:
     def test_small_error_linearization(self, plant):
         state = tu.FullState(0.8, 0.1, 1.0, 0.5, 0.0, 0.0)
         tt = 1e-5
-        _, gamma, _ = analysis.error_terms(state, 3.0, tt, u_t=10.0,
-                                           u_alpha=-4.0, p=plant)
+        _, gamma, _ = error_terms(state, 3.0, tt, u_t=10.0,
+                                  u_alpha=-4.0, p=plant)
         assert gamma == pytest.approx(-10.0 * tt / (plant.m * state.r), rel=1e-4)
 
     def test_prediction_matches_raw_tension_along_run(self, plant, gains,
@@ -277,15 +278,16 @@ class TestErrorTerms:
                                  log.alpha_dot[i], log.theta[i], log.theta_dot[i])
             diag = tu.evaluate(state, ref_setpoint, gains, plant)[3]
             theta_err = state.theta - diag.theta_c
-            _, _, t_pred = analysis.error_terms(state, t_bar, theta_err,
-                                                diag.u_t, diag.u_alpha, plant)
+            _, _, t_pred = error_terms(state, t_bar, theta_err,
+                                       diag.u_t, diag.u_alpha, plant)
             assert t_pred == pytest.approx(log.tension[i], abs=1e-8)
 
 
 def direct_gamma_out(sp, g, p, freqs):
     """The sweep of estimate_gamma_out written as one plant.rk4_step per step.
 
-    Returns the estimate, the step count and the first settled step.
+    Returns the per-frequency peak rates, the final ``[a_err; a_dot]``, the
+    step count and the first settled step.
     """
     t_bar = tu.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
     w_alpha = math.sqrt(g.k_pa)
@@ -327,16 +329,22 @@ def direct_gamma_out(sp, g, p, freqs):
             first_settled = k if first_settled is None else first_settled
             np.maximum(peak, np.abs(tc - prev_tc) / dt, out=peak)
         prev_tc = tc
-    return 2.0 * float(peak.max()) / amp, n, first_settled
+    return peak, np.array(y), n, first_settled
 
 
 class TestEstimateGammaOut:
-    """The chunked, in-place sweep equals the direct RK4 loop bit for bit."""
+    """The chunked, in-place sweep equals the direct RK4 loop bit for bit:
+    the peak at every frequency and the final state, not only the estimate,
+    which is blind to changes below one ulp of the commanded pitch."""
 
     @staticmethod
     def check(sp, g, p, freqs):
-        want, n, settled = direct_gamma_out(sp, g, p, freqs)
-        assert analysis.estimate_gamma_out(sp, g, p, freqs=freqs) == want
+        peak, final, n, settled = direct_gamma_out(sp, g, p, freqs)
+        got_peak, got_final = analysis._gamma_out_sweep(sp, g, p, freqs)
+        assert got_peak.tobytes() == peak.tobytes()
+        assert got_final.tobytes() == final.tobytes()
+        assert (analysis.estimate_gamma_out(sp, g, p, freqs=freqs)
+                == 2.0 * float(peak.max()) / g.theta_tilde_max)
         return n, settled
 
     @pytest.mark.parametrize("index, zeta", [(0, 0.1), (12, 0.9), (24, 0.9)])

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tautuav as tu
-from tautuav import analysis, control
+from tautuav import control
 from tautuav.cli import ConfigError, parse_config
 from tautuav.control import PreconditionError
 from tautuav.plant import elevation_acceleration
 
 from conftest import sample_attainable
+from oracles import error_terms
 
 
 class TestSaturate:
@@ -277,6 +278,45 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="r > 0"):
             tu.closed_loop_rhs(state, law)
 
+    @pytest.mark.parametrize("layer", ["inner", "outer"])
+    def test_kernel_saturation_edges_keep_bits(self, plant, ref_setpoint,
+                                               layer):
+        """The kernel's saturations, written as comparisons, against the
+        copysign form of radial_acceleration, sign of zero included: each
+        saturation's argument at +-0.0, exactly at +-lambda1 and +-lambda2,
+        and one ulp to either side of each level."""
+        g = tu.GainConfig(k_pr=0.25)  # k_dr = 1: r_dot passes unscaled
+        assert g.k_dr == 1.0
+        base = tu.closed_loop(ref_setpoint, g, plant, ideal_attitude=True)
+        edges = [v for lam in (g.lambda1, g.lambda2)
+                 for v in (math.nextafter(lam, 0.0), lam,
+                           math.nextafter(lam, math.inf))]
+
+        def radii(x):
+            """Positive (r, r_bar) with k_pr*(r - r_bar) == x bit for bit;
+            -0.0 comes only from underflow, hence subnormal radii, which
+            the ideal-attitude kernel never divides by."""
+            if x > 0.0:
+                return 8.0 * x, 4.0 * x
+            if x < 0.0:
+                return -4.0 * x, -8.0 * x
+            return (1.0, 1.0) if math.copysign(1.0, x) > 0.0 \
+                else (5e-324, 1e-323)
+
+        for x in [0.0, -0.0] + edges + [-v for v in edges]:
+            if layer == "inner":
+                (r, r_bar), r_dot = radii(x), -0.0  # -0.0 adds nothing
+                arg = g.k_pr * (r - r_bar)
+            else:
+                (r, r_bar), r_dot = radii(-0.0), x
+                arg = g.k_dr * r_dot + control.saturate(
+                    g.k_pr * (r - r_bar), g.lambda2)
+            assert arg == x and math.copysign(1.0, arg) == math.copysign(1.0, x)
+            law = base[:1] + (r_bar,) + base[2:]
+            got = tu.closed_loop_rhs((r, r_dot, 1.0, 0.0, 0.0, 0.0), law)[0][1]
+            want = control.radial_acceleration(r, r_dot, r_bar, g)
+            assert got == want and np.signbit(got) == np.signbit(want)
+
     @pytest.mark.parametrize("ideal", [False, True])
     def test_kernel_matches_plant_model_and_winch_law(self, plant, gains,
                                                       ideal):
@@ -339,8 +379,8 @@ def test_error_dynamics_equivalence(plant, gains, ref_setpoint, start_setpoint):
         a_err, a_dot = red_state
         u_t, u_alpha, theta_c = diag
         theta_err = full_state.theta - theta_c
-        delta, _, _ = analysis.error_terms(full_state, t_bar, theta_err,
-                                           u_t, u_alpha, plant)
+        delta, _, _ = error_terms(full_state, t_bar, theta_err,
+                                  u_t, u_alpha, plant)
         gamma = ((plant.g * math.cos(a_err + ref_setpoint.alpha_bar)
                   / full_state.r) * (math.cos(theta_err) - 1.0)
                  - u_t * math.sin(theta_err) / (plant.m * full_state.r))

@@ -135,7 +135,7 @@ class TestScenarios:
         assert log.events.first_tension_violation == expected
 
     def test_cable_taut_at_every_rk4_stage_of_governed_run(
-            self, default_bundle, rg_bundle, monkeypatch):
+            self, default_bundle, rg_bundle, rg_every_step, monkeypatch):
         """The tension stays positive between the logged rows too: its
         minimum over every RK4 stage dips only just below the logged one."""
         p, g, cfg = default_bundle
@@ -153,7 +153,9 @@ class TestScenarios:
             dataclasses.replace(cfg, mode=tu.ScenarioMode.INNER_WITH_RG,
                                 t_final=30.0), g, p, plan=plan)
         assert np.array_equal(again.tension, log.tension)
-        assert len(stage_tensions) == 4 * (len(log) - 1) + 1
+        # four evaluations a step up to and including the step that maps
+        # the state to itself; the fast-forward copies the rest
+        assert len(stage_tensions) == 4 * (rg_every_step[1] + 1)
         assert 0.0 < min(stage_tensions) <= log.tension.min()
         assert min(stage_tensions) == pytest.approx(1.59388, abs=1e-5)
         assert log.tension.min() == pytest.approx(1.59390, abs=1e-5)
@@ -259,6 +261,135 @@ class TestScenarios:
         with pytest.raises(SimulationDiverged,
                            match=r"non-finite state at t=0\.101"):
             tu.run_scenario(cfg, gains, plant)
+
+
+def every_step(cfg, g, p, plan=None):
+    """run_scenario's step loop without its fast-forward: it integrates
+    every step to the horizon.  Returns the finished log and the first step
+    ``k`` that run_scenario may stop at -- the law was not settled at ``k``
+    and one RK4 step maps the state to itself bit for bit -- or None.  The
+    model functions are looked up on ``sim``, so a test's monkeypatch acts
+    on both loops."""
+    governed = cfg.mode is tu.ScenarioMode.INNER_WITH_RG
+    wp_index = len(plan.waypoints) - 1 if governed else -1
+    dt = cfg.dt
+    n_steps = int(round(cfg.t_final / dt))
+    y = cfg.initial.as_tuple()
+    fixed = None
+    switch_times = []
+    rows = []
+    for k in range(n_steps + 1):
+        t = k * dt
+        settled = k == 0
+        if wp_index > 0:
+            index = sim.governor_step(y, plan, wp_index)
+            if index != wp_index:
+                wp_index = index
+                switch_times.append(t)
+                settled = True
+        if settled:
+            sp = cfg.reference if wp_index < 0 else plan.waypoints[wp_index].sp
+            law = sim.closed_loop(sp, g, p, ideal_attitude=cfg.mode
+                                  is tu.ScenarioMode.IDEAL_ATTITUDE)
+        deriv, inputs, tension, diag = sim.closed_loop_rhs(y, law)
+        rows.append((t, *y, *inputs, tension, diag[2], wp_index))
+        if k < n_steps:
+            y_next = sim.closed_loop_rk4_step(y, deriv, law, dt)
+            if (fixed is None and not settled
+                    and np.array(y_next).tobytes() == np.array(y).tobytes()):
+                fixed = k
+            y = y_next
+    return sim._finish_log(np.array(rows).T, cfg, tuple(switch_times)), fixed
+
+
+@pytest.fixture(scope="module")
+def rg_every_step(default_bundle, rg_bundle):
+    """The governed reference run integrated at every step."""
+    p, g, cfg = default_bundle
+    return every_step(dataclasses.replace(
+        cfg, mode=tu.ScenarioMode.INNER_WITH_RG, t_final=30.0), g, p,
+        rg_bundle[0])
+
+
+def assert_same_log(got, want):
+    """Every column equal bit for bit, the sign of zero included, and the
+    same events."""
+    for a, b in zip(got.columns(), want.columns()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.events == want.events
+
+
+class TestFastForward:
+    """Once a step maps the state to itself, run_scenario copies the rows
+    instead of integrating them; the log equals that of the loop that
+    integrates every step, bit for bit."""
+
+    def test_governed_reference_run(self, rg_bundle, rg_every_step):
+        want, fixed = rg_every_step
+        assert fixed is not None and fixed < 0.9 * (len(want) - 1)
+        assert_same_log(rg_bundle[3], want)
+
+    def test_reference_runs_that_never_repeat(self, default_bundle,
+                                              ideal_log, no_rg_log):
+        p, g, cfg = default_bundle
+        for mode, log in ((tu.ScenarioMode.IDEAL_ATTITUDE, ideal_log),
+                          (tu.ScenarioMode.INNER_NO_RG, no_rg_log)):
+            want, fixed = every_step(dataclasses.replace(cfg, mode=mode), g, p)
+            assert fixed is None
+            assert_same_log(log, want)
+
+    def test_governed_missions_that_settle(self, default_bundle):
+        from tautuav.cli import _certificate
+
+        p, g, _ = default_bundle
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            start = sample_attainable(rng, g.eps, p)
+            final = sample_attainable(rng, g.eps, p)
+            cfg = tu.SimConfig(
+                mode=tu.ScenarioMode.INNER_WITH_RG, t_final=40.0,
+                initial=tu.FullState.initial(start.r_bar, start.alpha_bar,
+                                             start.theta_bar),
+                reference=final)
+            cert, env, _ = _certificate(p, g, cfg, estimate=False)
+            plan = tu.backtrack_plan(start, final, g, p, cert, env)
+            want, fixed = every_step(cfg, g, p, plan)
+            assert fixed is not None
+            assert_same_log(tu.run_scenario(cfg, g, p, plan=plan), want)
+
+    def test_no_stop_on_the_step_of_a_switch(self, default_bundle, rg_bundle,
+                                             monkeypatch):
+        """A state that repeats on the step of a switch may still switch
+        again on the next: here a supervisor that is pure but moves one
+        waypoint a step, and a step that holds every state."""
+        p, g, cfg = default_bundle
+        plan = rg_bundle[0]
+        monkeypatch.setattr(sim, "governor_step",
+                            lambda y, plan, index: index - 1)
+        monkeypatch.setattr(sim, "closed_loop_rk4_step",
+                            lambda y, deriv, law, dt: tuple(y))
+        cfg = dataclasses.replace(cfg, mode=tu.ScenarioMode.INNER_WITH_RG,
+                                  t_final=0.1)
+        want, fixed = every_step(cfg, g, p, plan)
+        # index 0 is reached on step W - 2 and no longer supervised after
+        assert fixed == len(plan.waypoints) - 1
+        assert len(want.events.switch_times) == len(plan.waypoints) - 1
+        assert_same_log(tu.run_scenario(cfg, g, p, plan=plan), want)
+
+    def test_no_stop_on_a_repeat_up_to_the_sign_of_zero(
+            self, default_bundle, monkeypatch):
+        """A step that only flips the sign of the state's zeros compares
+        equal with == but does not repeat the state."""
+        p, g, cfg = default_bundle
+        monkeypatch.setattr(sim, "closed_loop_rk4_step",
+                            lambda y, deriv, law, dt: tuple(
+                                -v if v == 0.0 else v for v in y))
+        cfg = dataclasses.replace(cfg, mode=tu.ScenarioMode.INNER_NO_RG,
+                                  t_final=0.01)
+        assert cfg.initial.r_dot == 0.0
+        want, fixed = every_step(cfg, g, p)
+        assert fixed is None
+        assert_same_log(tu.run_scenario(cfg, g, p), want)
 
 
 def loop_finish(raw, cfg):
