@@ -15,10 +15,21 @@ Before the change is committed its base is ``HEAD``; afterwards pass
 
 The JSON written to ``--out`` holds, per workload and end-to-end metric, the
 median and quartiles of each side, the change/base ratio of the medians, the
-share of pairs the change won, and whether the medians differ by more than
-the base's interquartile range; beside them the core count, the Python
-version, the base commit, and per run the correctness and failed operations
-that perfbench reported.
+share of pairs the change won, whether the medians differ by more than the
+base's interquartile range (IQR), and a verdict against the metric's bound
+in ``BENCHMARK.json``, checked in this order:
+
+* ``gain``: the change won at least 9 of 10 pairs and the medians differ by
+  more than the base's IQR;
+* ``worse``: the change's median is worse than the base's by more than the
+  bound, relative to the base's median;
+* ``unresolved``: either side's IQR exceeds the bound relative to its
+  median, and not every run of the change beats every run of the base;
+* ``no worse``: otherwise.
+
+Beside them it holds the core count, the Python version, the base commit,
+and per run the correctness and failed operations that perfbench reported.
+The verdict of every pairing is printed at the end.
 """
 
 from __future__ import annotations
@@ -55,7 +66,8 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _summary(base: list[float], change: list[float], better: str) -> dict:
+def _summary(base: list[float], change: list[float], better: str,
+             bound: float) -> dict:
     def stats(values):
         q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
         return q1, q2, q3
@@ -64,11 +76,21 @@ def _summary(base: list[float], change: list[float], better: str) -> dict:
     c1, c2, c3 = stats(change)
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - b) > 0.0 for b, c in zip(base, change))
-    return {"better": better,
+    gap_exceeds_iqr = sign * (c2 - b2) > b3 - b1
+    if wins >= 0.9 * len(base) and gap_exceeds_iqr:
+        verdict = "gain"
+    elif sign * (c2 - b2) < -bound * b2:
+        verdict = "worse"
+    elif (max((b3 - b1) / b2, (c3 - c1) / c2) > bound
+          and not all(sign * (c - b) > 0.0 for b in base for c in change)):
+        verdict = "unresolved"
+    else:
+        verdict = "no worse"
+    return {"better": better, "bound": bound, "verdict": verdict,
             "base_median": b2, "base_q1": b1, "base_q3": b3,
             "change_median": c2, "change_q1": c1, "change_q3": c3,
             "ratio": c2 / b2, "win_share": wins / len(base),
-            "gap_exceeds_base_iqr": sign * (c2 - b2) > b3 - b1,
+            "gap_exceeds_base_iqr": gap_exceeds_iqr,
             "base": base, "change": change}
 
 
@@ -85,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    rules = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory() as tmp:
         if args.base_dir is None:
             base_dir = Path(tmp) / "base"
@@ -124,8 +146,8 @@ def main(argv: list[str] | None = None) -> int:
                 name: _summary(
                     [r["metrics"][name]["value"] for r in sides["base"]],
                     [r["metrics"][name]["value"] for r in sides["change"]],
-                    better[name])
-                for name in better}
+                    *rules[name])
+                for name in rules}
         workloads[workload] = entry
     record = {"base_commit": base_commit, "pairs": PAIRS,
               "seconds": seconds, "seeds": [SEED, SEED + PAIRS - 1],
@@ -137,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, m in entry.get("metrics", {}).items():
             print(f"{workload} {name}: {m['base_median']:.4g} -> "
                   f"{m['change_median']:.4g} (x{m['ratio']:.3f}, "
-                  f"wins {m['win_share']:.0%})")
+                  f"wins {m['win_share']:.0%}): {m['verdict']}")
     ok = all("metrics" in e for e in workloads.values())
     return 0 if ok else 1
 

@@ -11,7 +11,9 @@ of the missions drawn for seeds 0-59, so that a change to plan
 construction is checked on far more plans than are flown.  The very last
 line gives ``repr`` of the default sweep of ``estimate_gamma_out`` and a
 digest of the ``certify --estimate-gamma-out`` report, both on
-configs/default.cfg.  Run it in two
+configs/default.cfg; it changes only with a change to the estimator that
+says so and gives the new value, as the banded sweep with the chain-rule
+pitch rate did (2.7262258006399236 to 2.7264976019589713).  Run it in two
 checkouts and ``diff`` the outputs to show that a change leaves every
 trajectory and plan bit-identical:
 

@@ -268,43 +268,61 @@ def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
     No closed form exists for this gain, so it is estimated by driving the
     exact elevation error dynamics at radial rest with a worst-amplitude
     pitch-error sinusoid ``theta_tilde_max * sin(w*t)`` at every frequency
-    of the grid at once (by default 25 log-spaced frequencies from
-    ``10**-1.2`` to ``10**1.2`` times ``sqrt(k_pa)``).  Classical RK4 runs
-    ``8/(zeta*sqrt(k_pa))`` seconds of settling plus four periods of the
-    slowest frequency, at 80 steps per period of the fastest (at most 1/400
-    of the settling time).  The commanded pitch of the thrust-vectoring law
-    is differenced backward after every step; the estimate is the peak of
-    that rate over the settled steps, divided by the amplitude, times a
-    safety factor of 2.  :func:`_gamma_out_sweep` runs the sweep.
+    of the grid (by default 25 log-spaced frequencies from ``10**-1.2`` to
+    ``10**1.2`` times ``sqrt(k_pa)``).  Classical RK4 runs
+    ``t_settle = 8/(zeta*sqrt(k_pa))`` seconds of settling plus four periods
+    of the slowest frequency, at 80 steps per period of the fastest and at
+    most ``t_settle/400`` per step.  The grid is swept in two bands split at
+    ``f_cap = 10*pi/t_settle``, where 1/80 of a period equals that cap, and
+    each band takes its own step and horizon by these rules: the slow band
+    steps at the cap, the fast band stops four of its own periods after
+    settling.
+
+    The commanded pitch rate of the thrust-vectoring law is read by the
+    chain rule at every settled step.  A frequency's peak is the larger of
+    its largest sample and the vertex of the parabola through any three
+    consecutive samples whose middle one is a local maximum, so a peak that
+    falls between steps is not under-read.  The estimate is the largest
+    peak divided by the amplitude, times a safety factor of 2.
+    :func:`_gamma_out_sweep` sweeps one band.
     """
     if freqs is None:
         freqs = math.sqrt(g.k_pa) * np.logspace(-1.2, 1.2, 25)
-    peak, _ = _gamma_out_sweep(sp, g, p, freqs)
-    return 2.0 * float(peak.max()) / g.theta_tilde_max
+    freqs = np.asarray(freqs, dtype=float).ravel()
+    if not (freqs.size and np.isfinite(freqs).all() and (freqs > 0.0).all()):
+        raise ValueError("freqs must be a non-empty grid of positive, finite "
+                         f"frequencies, got {freqs.tolist()}")
+    t_bar = equilibria.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
+    t_settle = 8.0 / (g.zeta * math.sqrt(g.k_pa))
+    slow = freqs <= 10.0 * math.pi / t_settle
+    peaks = [_gamma_out_sweep(sp, g, p, band, t_bar, t_settle)[0].max()
+             for band in (freqs[slow], freqs[~slow]) if band.size]
+    return 2.0 * float(max(peaks)) / g.theta_tilde_max
 
 
-def _gamma_out_sweep(sp, g: GainConfig, p: PlantParams,
-                     freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sweep of :func:`estimate_gamma_out` over ``freqs``, flattened:
-    the peak commanded-pitch rate over the settled steps at each frequency,
-    and the final ``[a_err; a_dot]``, shape ``(2, nf)``.
+def _gamma_out_sweep(sp, g: GainConfig, p: PlantParams, freqs: np.ndarray,
+                     t_bar: float,
+                     t_settle: float) -> tuple[np.ndarray, np.ndarray]:
+    """One band of the sweep of :func:`estimate_gamma_out`, on the 1-D grid
+    ``freqs``: the peak commanded-pitch rate over the settled steps at each
+    frequency, and the final ``[a_err; a_dot]``, shape ``(2, nf)``.
 
     The sweep is bound by the cost of numpy calls, not by arithmetic, so
     it runs in chunks of :data:`SWEEP_CHUNK` steps.  The forcing at every
     stage time of a chunk is evaluated in one pass; each step works in
     place on ``(3, nf)`` stage buffers ``[a_err; a_dot; accel]``, whose rows
-    0-1 are the stage state and rows 1-2 its derivative; the commanded
-    pitch and its rate are computed once per chunk.  Every value goes
+    0-1 are the stage state and rows 1-2 its derivative.  Every value goes
     through the same float operations in the same order as
     :func:`~tautuav.plant.rk4_step` stepping the plain derivative, so the
-    peaks and the final state are bit-identical to that direct loop's.
+    final state is bit-identical to that direct loop's.
+
+    The pitch rate is computed once per chunk from the stored states, whose
+    accel row is the ``k1`` of the next step; only the chunk's last state
+    needs its own.  The last two settled rates are carried into the next
+    chunk, so that a local maximum across the boundary is refined too.
     """
-    t_bar = equilibria.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
-    w_alpha = math.sqrt(g.k_pa)
-    freqs = np.asarray(freqs, dtype=float).ravel()
     amp = g.theta_tilde_max
     r = sp.r_bar
-    t_settle = 8.0 / (g.zeta * w_alpha)
     t_final = t_settle + 4.0 * 2.0 * math.pi / freqs.min()
     dt = min(2.0 * math.pi / freqs.max() / 80.0, t_settle / 400.0)
     n = int(math.ceil(t_final / dt))
@@ -368,6 +386,7 @@ def _gamma_out_sweep(sp, g: GainConfig, p: PlantParams,
     (e2, y2, k2, a2), (e3, y3, k3, a3), (e4, y4, k4, a4) = (
         views(z) for z in np.empty((3, 3, nf)))
     peak = np.zeros(nf)
+    carry = np.empty((0, nf))  # the last (up to) two settled rates
     t = 0.0
     for start in range(0, n, SWEEP_CHUNK):
         m = min(SWEEP_CHUNK, n - start)
@@ -399,14 +418,33 @@ def _gamma_out_sweep(sp, g: GainConfig, p: PlantParams,
             mul(sixth_f, acc, acc)
             add(y1, acc, nxt[1])
             f_start = f_end
-        a_err, a_dot = states[:m + 1, 0], states[:m + 1, 1]
-        alpha_c = sp.alpha_bar + a_err
-        u_t_c = t_bar + p.m * p.g * np.sin(alpha_c)
-        u_alpha = (p.m * p.g * np.cos(alpha_c)
-                   - p.m * r * (g.k_pa * a_err + g.k_da * a_dot))
-        theta_c = math.pi / 2.0 - alpha_c - np.arctan2(u_alpha, u_t_c)
-        rate = np.abs(np.diff(theta_c, axis=0)[times[1:] >= t_settle]) / dt
-        if rate.size:
+        e1, y1, _, a1 = rows[m]
+        accel(e1, y1, a1, *f_start)
+        settled = states[1:m + 1][times[1:] >= t_settle]
+        if settled.size:
+            # theta_c = pi/2 - alpha - atan2(u_alpha, u_t) by the chain rule
+            a_err, a_dot, a_ddot = settled.transpose(1, 0, 2)
+            alpha_c = sp.alpha_bar + a_err
+            sin_c, cos_c = np.sin(alpha_c), np.cos(alpha_c)
+            u_t_c = t_bar + p.m * p.g * sin_c
+            u_alpha = (p.m * p.g * cos_c
+                       - p.m * r * (g.k_pa * a_err + g.k_da * a_dot))
+            du_t = p.m * p.g * cos_c * a_dot
+            du_alpha = (-p.m * p.g * sin_c * a_dot
+                        - p.m * r * (g.k_pa * a_dot + g.k_da * a_ddot))
+            rate = np.abs(-a_dot - (u_t_c * du_alpha - u_alpha * du_t)
+                          / (u_t_c * u_t_c + u_alpha * u_alpha))
             np.maximum(peak, rate.max(axis=0), out=peak)
+            # vertex of the parabola through three consecutive rates; a
+            # triple whose middle is no strict-curvature local maximum gets
+            # an infinite curvature and reads its middle rate
+            w = np.concatenate((carry, rate))
+            r0, r1, r2 = w[:-2], w[1:-1], w[2:]
+            curv = 2.0 * r1 - r0 - r2
+            curv[(r1 < r0) | (r1 < r2) | (curv <= 0.0)] = math.inf
+            if curv.size:
+                np.maximum(peak, (r1 + (r2 - r0) ** 2 / (8.0 * curv)).max(axis=0),
+                           out=peak)
+            carry = w[-2:]
         states[0] = states[m]
     return peak, states[0, :2].copy()

@@ -283,28 +283,14 @@ class TestErrorTerms:
             assert t_pred == pytest.approx(log.tension[i], abs=1e-8)
 
 
-def direct_gamma_out(sp, g, p, freqs):
-    """The sweep of estimate_gamma_out written as one plant.rk4_step per step.
-
-    Returns the per-frequency peak rates, the final ``[a_err; a_dot]``, the
-    step count and the first settled step.
-    """
+def sweep_model(sp, g, p, freqs):
+    """The forced elevation error dynamics that estimate_gamma_out sweeps
+    over ``freqs``: the derivative of ``[a_err; a_dot]``, the commanded
+    pitch and the magnitude of its rate by the chain rule, in the sweep's
+    float operations."""
     t_bar = tu.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
-    w_alpha = math.sqrt(g.k_pa)
-    freqs = np.asarray(freqs, dtype=float)
     amp = g.theta_tilde_max
     r = sp.r_bar
-    t_settle = 8.0 / (g.zeta * w_alpha)
-    t_final = t_settle + 4.0 * 2.0 * math.pi / freqs.min()
-    dt = min(2.0 * math.pi / freqs.max() / 80.0, t_settle / 400.0)
-    n = int(math.ceil(t_final / dt))
-
-    def theta_c_of(a_err, a_dot):
-        alpha = sp.alpha_bar + a_err
-        u_t = t_bar + p.m * p.g * np.sin(alpha)
-        u_alpha = (p.m * p.g * np.cos(alpha)
-                   - p.m * r * (g.k_pa * a_err + g.k_da * a_dot))
-        return math.pi / 2.0 - alpha - np.arctan2(u_alpha, u_t)
 
     def deriv(t, y):
         a_err, a_dot = y
@@ -316,36 +302,101 @@ def direct_gamma_out(sp, g, p, freqs):
                - u_t * np.sin(tt) / (p.m * r))
         return a_dot, -(g.k_pa * a_err + g.k_da * a_dot) * cos_tt + gam
 
+    def theta_c(a_err, a_dot):
+        alpha = sp.alpha_bar + a_err
+        u_t = t_bar + p.m * p.g * np.sin(alpha)
+        u_alpha = (p.m * p.g * np.cos(alpha)
+                   - p.m * r * (g.k_pa * a_err + g.k_da * a_dot))
+        return math.pi / 2.0 - alpha - np.arctan2(u_alpha, u_t)
+
+    def rate(a_err, a_dot, a_ddot):
+        alpha = sp.alpha_bar + a_err
+        sin_a, cos_a = np.sin(alpha), np.cos(alpha)
+        u_t = t_bar + p.m * p.g * sin_a
+        u_alpha = (p.m * p.g * cos_a
+                   - p.m * r * (g.k_pa * a_err + g.k_da * a_dot))
+        du_t = p.m * p.g * cos_a * a_dot
+        du_alpha = (-p.m * p.g * sin_a * a_dot
+                    - p.m * r * (g.k_pa * a_dot + g.k_da * a_ddot))
+        return np.abs(-a_dot - (u_t * du_alpha - u_alpha * du_t)
+                      / (u_t * u_t + u_alpha * u_alpha))
+
+    return deriv, theta_c, rate
+
+
+def vertex(r0, r1, r2):
+    """Top of the parabola through three equally spaced rates where ``r1``
+    is a local maximum with positive curvature, else ``r1``."""
+    curv = 2.0 * r1 - r0 - r2
+    top = (r1 >= r0) & (r1 >= r2) & (curv > 0.0)
+    return np.where(top, r1 + (r2 - r0) ** 2 / (8.0 * np.where(top, curv, 1.0)),
+                    r1)
+
+
+def band_split(g, freqs):
+    """The settling time and the two bands of estimate_gamma_out's grid."""
+    t_settle = 8.0 / (g.zeta * math.sqrt(g.k_pa))
+    slow = freqs <= 10.0 * math.pi / t_settle
+    return t_settle, [band for band in (freqs[slow], freqs[~slow]) if band.size]
+
+
+def direct_gamma_out(sp, g, p, freqs):
+    """One band of the sweep of estimate_gamma_out, written as one
+    plant.rk4_step per step with the rate and vertex read after every step.
+
+    Returns the per-frequency peaks and largest samples, the final
+    ``[a_err; a_dot]``, the step and its count, the first settled step and, per
+    frequency, the state index of the middle rate of the largest vertex.
+    """
+    deriv, _, rate_of = sweep_model(sp, g, p, freqs)
+    t_settle = 8.0 / (g.zeta * math.sqrt(g.k_pa))
+    t_final = t_settle + 4.0 * 2.0 * math.pi / freqs.min()
+    dt = min(2.0 * math.pi / freqs.max() / 80.0, t_settle / 400.0)
+    n = int(math.ceil(t_final / dt))
+
     y = (np.zeros_like(freqs), np.zeros_like(freqs))
-    peak = np.zeros_like(freqs)
-    prev_tc = theta_c_of(*y)
+    peak, sample_peak, top = (np.zeros_like(freqs) for _ in range(3))
+    last = []  # the last two settled rates
     t = 0.0
     first_settled = None
     for k in range(n):
         y = tu.rk4_step(deriv, t, y, dt)
         t += dt
-        tc = theta_c_of(*y)
         if t >= t_settle:
             first_settled = k if first_settled is None else first_settled
-            np.maximum(peak, np.abs(tc - prev_tc) / dt, out=peak)
-        prev_tc = tc
-    return peak, np.array(y), n, first_settled
+            rate = rate_of(*y, deriv(t, y)[1])
+            np.maximum(sample_peak, rate, out=sample_peak)
+            np.maximum(peak, rate, out=peak)
+            if len(last) == 2:
+                v = vertex(*last, rate)
+                top[v > peak] = k  # state k lies between states k - 1, k + 1
+                np.maximum(peak, v, out=peak)
+            last = [*last[-1:], rate]
+    return dict(peak=peak, sample_peak=sample_peak, final=np.array(y), dt=dt,
+                n=n, settled=first_settled, top=top)
 
 
 class TestEstimateGammaOut:
-    """The chunked, in-place sweep equals the direct RK4 loop bit for bit:
-    the peak at every frequency and the final state, not only the estimate,
-    which is blind to changes below one ulp of the commanded pitch."""
+    """The chunked, in-place sweep equals the direct RK4 loop bit for bit in
+    each band: the peak at every frequency and the final state, not only the
+    estimate, which is blind to changes below one ulp of the pitch rate."""
 
     @staticmethod
     def check(sp, g, p, freqs):
-        peak, final, n, settled = direct_gamma_out(sp, g, p, freqs)
-        got_peak, got_final = analysis._gamma_out_sweep(sp, g, p, freqs)
-        assert got_peak.tobytes() == peak.tobytes()
-        assert got_final.tobytes() == final.tobytes()
+        t_bar = tu.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
+        t_settle, bands = band_split(g, freqs)
+        runs = []
+        for band in bands:
+            want = direct_gamma_out(sp, g, p, band)
+            got_peak, got_final = analysis._gamma_out_sweep(sp, g, p, band,
+                                                            t_bar, t_settle)
+            assert got_peak.tobytes() == want["peak"].tobytes()
+            assert got_final.tobytes() == want["final"].tobytes()
+            runs.append(want)
         assert (analysis.estimate_gamma_out(sp, g, p, freqs=freqs)
-                == 2.0 * float(peak.max()) / g.theta_tilde_max)
-        return n, settled
+                == 2.0 * max(float(w["peak"].max()) for w in runs)
+                / g.theta_tilde_max)
+        return runs
 
     @pytest.mark.parametrize("index, zeta", [(0, 0.1), (12, 0.9), (24, 0.9)])
     def test_single_default_frequency(self, plant, gains, ref_setpoint,
@@ -359,14 +410,81 @@ class TestEstimateGammaOut:
     def test_sweep_shorter_than_one_chunk(self, plant, gains, ref_setpoint,
                                           monkeypatch):
         monkeypatch.setattr(analysis, "SWEEP_CHUNK", 1024)
-        n, _ = self.check(ref_setpoint, gains, plant,
-                          math.sqrt(gains.k_pa) * np.array([3.0, 3.3, 3.5]))
-        assert n < analysis.SWEEP_CHUNK
+        [run] = self.check(ref_setpoint, gains, plant,
+                           math.sqrt(gains.k_pa) * np.array([3.0, 3.3, 3.5]))
+        assert run["n"] < analysis.SWEEP_CHUNK
 
     def test_settling_inside_a_ragged_chunk(self, plant, gains, ref_setpoint):
-        n, settled = self.check(ref_setpoint, gains, plant,
-                                math.sqrt(gains.k_pa) * np.array([3.0, 3.5]))
-        assert n % analysis.SWEEP_CHUNK and settled % analysis.SWEEP_CHUNK
+        [run] = self.check(ref_setpoint, gains, plant,
+                           math.sqrt(gains.k_pa) * np.array([3.0, 3.5]))
+        assert run["n"] % analysis.SWEEP_CHUNK
+        assert run["settled"] % analysis.SWEEP_CHUNK
+
+    def test_grid_across_the_band_split(self, plant, gains, ref_setpoint):
+        # f_cap is 3.54 sqrt(k_pa) at the default damping: the slow band
+        # steps at the settling cap, the fast band at 1/80 of its own period
+        slow, fast = self.check(ref_setpoint, gains, plant,
+                                math.sqrt(gains.k_pa) * np.array([2.0, 4.0, 6.0]))
+        assert fast["dt"] < slow["dt"] == 8.0 / (gains.zeta * math.sqrt(
+            gains.k_pa)) / 400.0
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_local_maximum_straddling_a_chunk_boundary(
+            self, plant, gains, ref_setpoint, monkeypatch, offset):
+        # a chunk ends at the winning triple's middle (offset 0) or first
+        # (offset 1) state, so its vertex needs the rates carried over
+        freqs = math.sqrt(gains.k_pa) * np.array([10.0])
+        [band] = band_split(gains, freqs)[1]
+        want = direct_gamma_out(ref_setpoint, gains, plant, band)
+        assert want["peak"][0] > want["sample_peak"][0]
+        monkeypatch.setattr(analysis, "SWEEP_CHUNK", int(want["top"][0]) - offset)
+        self.check(ref_setpoint, gains, plant, freqs)
+
+
+@pytest.mark.parametrize("freqs", [[], [0.0], [-5.0], [-5.0, 5.0],
+                                   [math.nan], [5.0, math.inf]])
+def test_estimate_gamma_out_rejects_bad_grid(plant, gains, ref_setpoint, freqs):
+    with pytest.raises(ValueError, match="^freqs must be a non-empty grid of "
+                                         "positive, finite frequencies, got "):
+        analysis.estimate_gamma_out(ref_setpoint, gains, plant, freqs=freqs)
+
+
+# estimate_gamma_out on the default grid by the single-band sweep with a
+# backward-differenced pitch rate, which under-reads a peak between steps
+BACKWARD_DIFFERENCE_ESTIMATE = {
+    (30.0, 0.9): 2.7262258006399236,
+    (10.0, 0.9): 2.8112950211187124,
+    (100.0, 0.6): 5.93257888860952,
+}
+
+
+@pytest.mark.parametrize("k_pa, zeta", list(BACKWARD_DIFFERENCE_ESTIMATE))
+def test_estimate_gamma_out_never_below_backward_difference(
+        plant, gains, ref_setpoint, k_pa, zeta):
+    old = BACKWARD_DIFFERENCE_ESTIMATE[k_pa, zeta]
+    g = dataclasses.replace(gains, k_pa=k_pa, zeta=zeta, k_da=None)
+    new = analysis.estimate_gamma_out(ref_setpoint, g, plant)
+    assert old <= new <= old * (1.0 + 1e-3)
+
+
+def test_chain_rule_rate_matches_centred_difference(plant, gains,
+                                                    ref_setpoint):
+    freqs = math.sqrt(gains.k_pa) * np.array([0.5, 2.0, 8.0])
+    deriv, theta_c, rate = sweep_model(ref_setpoint, gains, plant, freqs)
+    t_settle = 8.0 / (gains.zeta * math.sqrt(gains.k_pa))
+    h = min(2.0 * math.pi / freqs.max() / 80.0, t_settle / 400.0) / 100.0
+    t, y = 0.3, (np.full(3, 0.05), np.full(3, -0.2))
+    states = [y]
+    for _ in range(400):
+        y = tu.rk4_step(deriv, t, y, h)
+        t += h
+        states.append(y)
+    a_err, a_dot = np.array(states).transpose(1, 0, 2)
+    a_ddot = np.array([deriv(0.3 + k * h, s)[1] for k, s in enumerate(states)])
+    chain = rate(a_err, a_dot, a_ddot)[1:-1]
+    theta = theta_c(a_err, a_dot)
+    centred = np.abs(theta[2:] - theta[:-2]) / (2.0 * h)
+    assert np.abs(chain - centred).max() <= 1e-6 * chain.max()
 
 
 def test_estimate_gamma_out_sane(plant, gains, ref_setpoint):
