@@ -34,6 +34,7 @@ from .plant import PlantParams
 
 # RK4 steps per vectorised forcing and pitch-rate pass of estimate_gamma_out
 SWEEP_CHUNK = 64
+MAX_SWEEP_STEPS = 10**7  # most RK4 steps in one band of estimate_gamma_out
 
 
 class SmallGainError(ValueError):
@@ -284,7 +285,8 @@ def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
     consecutive samples whose middle one is a local maximum, so a peak that
     falls between steps is not under-read.  The estimate is the largest
     peak divided by the amplitude, times a safety factor of 2.
-    :func:`_gamma_out_sweep` sweeps one band.
+    :func:`_gamma_out_sweep` sweeps one band.  A grid with a band of more
+    than :data:`MAX_SWEEP_STEPS` steps is rejected before any is taken.
     """
     if freqs is None:
         freqs = math.sqrt(g.k_pa) * np.logspace(-1.2, 1.2, 25)
@@ -295,9 +297,23 @@ def estimate_gamma_out(sp, g: GainConfig, p: PlantParams,
     t_bar = equilibria.equilibrium_tension(sp, p, hover_tension=g.hover_tension)
     t_settle = 8.0 / (g.zeta * math.sqrt(g.k_pa))
     slow = freqs <= 10.0 * math.pi / t_settle
+    bands = [band for band in (freqs[slow], freqs[~slow]) if band.size]
+    for band in bands:
+        _band_steps(band, t_settle)  # reject a band before sweeping any
     peaks = [_gamma_out_sweep(sp, g, p, band, t_bar, t_settle)[0].max()
-             for band in (freqs[slow], freqs[~slow]) if band.size]
+             for band in bands]
     return 2.0 * float(max(peaks)) / g.theta_tilde_max
+
+
+def _band_steps(freqs: np.ndarray, t_settle: float) -> tuple[float, int]:
+    """The step of one band of the sweep and the number of steps; a band of
+    more than :data:`MAX_SWEEP_STEPS` steps raises."""
+    t_final = t_settle + 4.0 * 2.0 * math.pi / freqs.min()
+    dt = min(2.0 * math.pi / freqs.max() / 80.0, t_settle / 400.0)
+    if not t_final / dt <= MAX_SWEEP_STEPS:
+        raise ValueError(f"freqs {freqs.tolist()} need {t_final / dt:.4g} RK4 "
+                         f"steps, more than MAX_SWEEP_STEPS = {MAX_SWEEP_STEPS}")
+    return dt, int(math.ceil(t_final / dt))
 
 
 def _gamma_out_sweep(sp, g: GainConfig, p: PlantParams, freqs: np.ndarray,
@@ -323,9 +339,7 @@ def _gamma_out_sweep(sp, g: GainConfig, p: PlantParams, freqs: np.ndarray,
     """
     amp = g.theta_tilde_max
     r = sp.r_bar
-    t_final = t_settle + 4.0 * 2.0 * math.pi / freqs.min()
-    dt = min(2.0 * math.pi / freqs.max() / 80.0, t_settle / 400.0)
-    n = int(math.ceil(t_final / dt))
+    dt, n = _band_steps(freqs, t_settle)
     half = 0.5 * dt
 
     # The step loop hands every ufunc same-shape arrays and its output as the

@@ -4,9 +4,9 @@ Configuration files are UTF-8 ``key = value`` lines; ``#`` starts a comment
 and blank lines are ignored.  Values are SI floats; angle-valued keys also
 accept ``pi`` expressions such as ``pi/8``, ``-pi/20`` or ``pi*9/10``.
 Missing keys fall back to the defaults of ``PlantParams``, ``GainConfig``
-and ``SimConfig`` (the reference experiment's parameter set).  Derivative
-gains are derived from the stiffness gains and the damping ratio unless
-given explicitly, in which case they must satisfy the gain invariants.
+and ``SimConfig`` (the reference experiment's parameter set).  The keys
+``k_dr``, ``k_da``, ``k_dt`` and ``hover_tension`` may be given only with
+the value that ``GainConfig`` derives from the other gains.
 
 Subcommands::
 
@@ -53,7 +53,9 @@ _PI_EXPR = re.compile(
 
 # gains GainConfig derives -> their formula; a configured value must match it
 _TIED = {"k_dr": "2*sqrt(k_pr) (critically damped radial loop)",
-         "k_dt": "2*zeta*sqrt(k_pt)"}
+         "k_da": "2*zeta*sqrt(k_pa)",
+         "k_dt": "2*zeta*sqrt(k_pt)",
+         "hover_tension": "2*eps, or 1 when eps = 0"}
 
 # config key -> (bundle part, attribute); see _parts for the parts.  The keys
 # are the dataclass field names; a state key is the FullState field name
@@ -133,7 +135,7 @@ def parse_config(text: str) -> tuple[PlantParams, GainConfig, SimConfig]:
     for key, value in tied.items():
         if not math.isclose(value, getattr(gains, key), rel_tol=1e-9,
                             abs_tol=1e-12):
-            raise ConfigError(f"{key} must equal {_TIED[key]}, "
+            raise ConfigError(f"{key} must be {_TIED[key]}, "
                               f"got {key}={value}")
     try:
         mode = ScenarioMode(mode_text)

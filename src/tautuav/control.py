@@ -31,7 +31,7 @@ from math import atan2, cos, hypot, sin
 from typing import Sequence
 
 from . import equilibria
-from .equilibria import HALF_PI, Setpoint, default_hover_tension
+from .equilibria import HALF_PI, Setpoint
 from .plant import ControlInputs, FullState, PlantParams, StateDerivative
 
 
@@ -43,12 +43,12 @@ class PreconditionError(ValueError):
 class GainConfig:
     """Controller gains, saturation levels, and certification knobs.
 
-    The derivative gains ``k_dr`` and ``k_dt`` are tied to the stiffness
-    gains, so they are properties, not fields: the radial loop is critically
-    damped (``k_dr = 2*sqrt(k_pr)``) and the attitude loop uses the shared
-    damping ratio (``k_dt = 2*zeta*sqrt(k_pt)``).  ``k_da`` and
-    ``hover_tension`` are free; left as None they are derived, as
-    ``k_da = 2*zeta*sqrt(k_pa)`` and ``default_hover_tension(eps)``.
+    The derivative gains and the hover tension are tied to other fields, so
+    they are properties, not fields: the radial loop is critically damped
+    (``k_dr = 2*sqrt(k_pr)``), the elevation and attitude loops use the
+    shared damping ratio (``k_da = 2*zeta*sqrt(k_pa)``,
+    ``k_dt = 2*zeta*sqrt(k_pt)``), and the vertical-hover tension is
+    ``2*eps``, or 1 N when ``eps = 0``, so it stays above the margin.
     ``gamma_out`` is the outer-loop asymptotic gain used by certificates; it
     has no closed form and is either configured or estimated empirically.
     """
@@ -57,18 +57,15 @@ class GainConfig:
     lambda1: float = 0.4            # outer radial saturation [m/s^2]
     lambda2: float = 2.0            # inner radial saturation [m/s^2]
     k_pa: float = 30.0              # elevation P gain [1/s^2]
-    k_da: float | None = None       # elevation D gain [1/s]
     k_pt: float = 200.0             # attitude P gain [1/s^2]
     zeta: float = 0.9               # damping ratio shared by the PD loops [-]
     eps: float = 1.0                # tension margin defining the usable setpoint set [N]
     nu: float = 0.5                 # interior fraction for the rate restriction [-]
     theta_tilde_max: float = 0.8    # attitude-error budget [rad]
     gamma_out: float = 2.0          # configured outer asymptotic gain [-]
-    hover_tension: float | None = None  # tension choice at vertical hover [N]
 
     def __post_init__(self) -> None:
-        # the derived values are computed from these, so check them first
-        for name in ("k_pr", "k_pa", "k_pt"):
+        for name in ("k_pr", "lambda1", "lambda2", "k_pa", "k_pt"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
@@ -80,17 +77,9 @@ class GainConfig:
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite, "
                                  f"got {value}")
-        if self.k_da is None:
-            object.__setattr__(self, "k_da",
-                               2.0 * self.zeta * math.sqrt(self.k_pa))
-        if self.hover_tension is None:
-            object.__setattr__(self, "hover_tension",
-                               default_hover_tension(self.eps))
-        for name in ("lambda1", "lambda2", "k_da", "hover_tension"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {value}")
+        if not self.hover_tension < math.inf:
+            raise ValueError("eps must be small enough for a finite hover "
+                             f"tension 2*eps, got {self.eps}")
         if not 0.0 < self.nu < 1.0:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if not 0.0 < self.theta_tilde_max < math.pi / 2.0:
@@ -106,9 +95,19 @@ class GainConfig:
         return 2.0 * math.sqrt(self.k_pr)
 
     @property
+    def k_da(self) -> float:
+        """Elevation D gain [1/s]: ``2*zeta*sqrt(k_pa)``."""
+        return 2.0 * self.zeta * math.sqrt(self.k_pa)
+
+    @property
     def k_dt(self) -> float:
         """Attitude D gain [1/s]: ``2*zeta*sqrt(k_pt)``."""
         return 2.0 * self.zeta * math.sqrt(self.k_pt)
+
+    @property
+    def hover_tension(self) -> float:
+        """Vertical-hover tension [N]: ``2*eps``, or 1 N at zero margin."""
+        return 2.0 * self.eps if self.eps > 0.0 else 1.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,12 +226,11 @@ def closed_loop_rhs(y: Sequence[float], law: tuple) -> tuple:
             (u_t, u_alpha, theta_c))
 
 
-def evaluate(state: FullState, sp: Setpoint, g: GainConfig, p: PlantParams,
-             ideal_attitude: bool = False
+def evaluate(state: FullState, sp: Setpoint, g: GainConfig, p: PlantParams
              ) -> tuple[StateDerivative, ControlInputs, float, ControlDiagnostics]:
     """One closed-loop evaluation with named fields, for callers outside the
     integrator: :func:`closed_loop_rhs` at ``state`` and setpoint ``sp``."""
     deriv, inputs, tension_value, diag = closed_loop_rhs(
-        state.as_tuple(), closed_loop(sp, g, p, ideal_attitude))
+        state.as_tuple(), closed_loop(sp, g, p))
     return (StateDerivative(*deriv), ControlInputs(*inputs), tension_value,
             ControlDiagnostics(*diag))

@@ -53,6 +53,8 @@ class Setpoint:
     theta_bar: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.theta_bar):
+            raise ValueError(f"theta_bar must be finite, got {self.theta_bar}")
         if not 0.0 < self.r_bar < math.inf:
             raise ValueError("r_bar must be positive and finite, "
                              f"got {self.r_bar}")
@@ -77,11 +79,6 @@ class PathSpec:
             b_start = self.segments[1][0]
             if a_end != b_start:
                 raise ValueError("consecutive segments must share the joining setpoint")
-
-
-def default_hover_tension(eps: float) -> float:
-    """Vertical-hover tension choice: twice the margin, or 1 N at zero margin."""
-    return 2.0 * eps if eps > 0.0 else 1.0
 
 
 def theta_limit(alpha_bar: float, eps: float, p: PlantParams) -> float:

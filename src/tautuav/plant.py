@@ -24,10 +24,10 @@ push).  All functions here are pure evaluations; interpreting the sign of
 ``T`` is left to the callers that monitor the constraint.
 
 The package's one generic fixed-step integrator, :func:`rk4_step`, lives
-here too, so that the gain analysis can reach it without importing the
-simulator.  The simulator steps with its own six-state copy,
-:func:`tautuav.sim.closed_loop_rk4_step`, which is tested equal to
-:func:`rk4_step` bit for bit.
+here too.  It is the reference for the two written-out copies that take the
+steps, :func:`tautuav.sim.closed_loop_rk4_step` and the chunked sweep of
+:func:`tautuav.analysis.estimate_gamma_out`; both are tested equal to it
+bit for bit.
 """
 
 from __future__ import annotations

@@ -80,8 +80,8 @@ class TestRadialEnvelope:
 
 class TestRestrictionAndBudget:
     def test_restriction_value(self):
-        g = tu.GainConfig(k_da=9.859, theta_tilde_max=0.5, nu=0.5)
-        assert tu.restriction_r(g) == pytest.approx(17.669227953310603, rel=1e-12)
+        g = tu.GainConfig(theta_tilde_max=0.5, nu=0.5)
+        assert tu.restriction_r(g) == pytest.approx(17.66923876936028, rel=1e-12)
 
     def test_restriction_linear_in_nu(self):
         g1 = tu.GainConfig(nu=0.2, theta_tilde_max=0.7)
@@ -403,7 +403,7 @@ class TestEstimateGammaOut:
                                       index, zeta):
         # the lowest entry's sweep is settling-limited: 18k steps at the
         # default damping, 2.4k at zeta = 0.1
-        g = dataclasses.replace(gains, zeta=zeta, k_da=None)
+        g = dataclasses.replace(gains, zeta=zeta)
         grid = math.sqrt(g.k_pa) * np.logspace(-1.2, 1.2, 25)
         self.check(ref_setpoint, g, plant, grid[index:index + 1])
 
@@ -449,6 +449,21 @@ def test_estimate_gamma_out_rejects_bad_grid(plant, gains, ref_setpoint, freqs):
         analysis.estimate_gamma_out(ref_setpoint, gains, plant, freqs=freqs)
 
 
+@pytest.mark.parametrize("freqs, steps", [
+    ([1e-6], r"6\.195e\+09"),      # settling-limited step, 4 long periods
+    ([1.0, 1e6], r"2\.066e\+07"),  # the slow band fits, the fast does not
+], ids=["slow", "fast"])
+def test_estimate_gamma_out_rejects_unbounded_sweep(
+        plant, gains, ref_setpoint, monkeypatch, freqs, steps):
+    def no_sweep(*args):
+        raise AssertionError("a band was swept")
+
+    monkeypatch.setattr(analysis, "_gamma_out_sweep", no_sweep)
+    with pytest.raises(ValueError, match=f"need {steps} RK4 steps, more than "
+                                         "MAX_SWEEP_STEPS = 10000000$"):
+        analysis.estimate_gamma_out(ref_setpoint, gains, plant, freqs=freqs)
+
+
 # estimate_gamma_out on the default grid by the single-band sweep with a
 # backward-differenced pitch rate, which under-reads a peak between steps
 BACKWARD_DIFFERENCE_ESTIMATE = {
@@ -462,7 +477,7 @@ BACKWARD_DIFFERENCE_ESTIMATE = {
 def test_estimate_gamma_out_never_below_backward_difference(
         plant, gains, ref_setpoint, k_pa, zeta):
     old = BACKWARD_DIFFERENCE_ESTIMATE[k_pa, zeta]
-    g = dataclasses.replace(gains, k_pa=k_pa, zeta=zeta, k_da=None)
+    g = dataclasses.replace(gains, k_pa=k_pa, zeta=zeta)
     new = analysis.estimate_gamma_out(ref_setpoint, g, plant)
     assert old <= new <= old * (1.0 + 1e-3)
 

@@ -89,6 +89,9 @@ class TestParseConfig:
         ("alpha_dot0 = inf", "alpha_dot"),
         ("eps = nan", "eps"),
         ("gamma_out = nan", "gamma_out"),
+        ("eps = 1e308", "eps"),  # finite, but its hover tension 2*eps is not
+        ("theta_bar = nan", "theta_bar"),
+        ("theta_bar = inf", "theta_bar"),
     ])
     def test_non_finite_value_names_key(self, text, key):
         with pytest.raises(ConfigError, match=f"^{key} must be"):
@@ -117,6 +120,13 @@ class TestParseConfig:
     def test_explicit_inconsistent_damping_rejected(self):
         with pytest.raises(ConfigError, match="k_dr"):
             parse_config("k_dr = 5.0")
+
+    @pytest.mark.parametrize("text, key", [("k_da = 5", "k_da"),
+                                           ("hover_tension = 0.5",
+                                            "hover_tension")])
+    def test_untied_derived_value_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be .*, got {key}="):
+            parse_config(text)
 
     def test_unattainable_reference_rejected(self):
         with pytest.raises(ConfigError, match="not attainable"):

@@ -74,10 +74,12 @@ class TestGainConfig:
             tu.GainConfig(**{key: math.nan})
 
     def test_rejects_untied_radial_damping(self):
-        # the tied gains are derived, so no value can be given to break the
+        # the tied values are derived, so none can be given to break the
         # tie (the config parser checks an explicit one)
-        with pytest.raises(TypeError, match="k_dr"):
-            tu.GainConfig(k_dr=5.0)
+        for key, value in (("k_dr", 5.0), ("k_da", 5.0),
+                           ("hover_tension", 0.5)):
+            with pytest.raises(TypeError, match=key):
+                tu.GainConfig(**{key: value})
 
     def test_replace_rederives_tied_gains(self):
         g = dataclasses.replace(tu.GainConfig(), k_pr=50.0, k_pt=150.0)
@@ -85,6 +87,23 @@ class TestGainConfig:
         assert g.k_dt == 2.0 * g.zeta * math.sqrt(150.0)
         assert dataclasses.replace(g, zeta=0.7).k_dt == (
             2.0 * 0.7 * math.sqrt(150.0))
+
+    def test_replace_rederives_elevation_damping_and_hover_tension(self):
+        g = dataclasses.replace(tu.GainConfig(), zeta=0.7)
+        assert g == tu.GainConfig(zeta=0.7)
+        assert g.k_da == tu.GainConfig(zeta=0.7).k_da == (
+            2.0 * 0.7 * math.sqrt(30.0))
+        assert dataclasses.replace(tu.GainConfig(), eps=0.5).hover_tension == 1.0
+
+    @given(st.floats(min_value=0.0, allow_infinity=False))
+    def test_hover_tension_above_margin(self, eps):
+        # the governor's radius floor needs every waypoint's tension,
+        # the vertical hover's too, above eps
+        if 2.0 * eps == math.inf:
+            with pytest.raises(ValueError, match="^eps must"):
+                tu.GainConfig(eps=eps)
+        else:
+            assert tu.GainConfig(eps=eps).hover_tension > eps
 
     def test_rejects_saturation_ordering(self):
         with pytest.raises(ValueError, match="lambda2"):

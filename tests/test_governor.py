@@ -60,7 +60,7 @@ class TestBallRadii:
 
     def test_min_radii_requires_positive_margin(self, plant, default_certificate):
         cert, env = default_certificate
-        g0 = tu.GainConfig(eps=0.0, hover_tension=1.0)
+        g0 = tu.GainConfig(eps=0.0)
         with pytest.raises(InfeasibleRadiiError, match="eps"):
             tu.min_radii(g0, plant, cert, env)
 
@@ -115,6 +115,23 @@ class TestBacktrackPlan:
         last = plan.waypoints[-1]
         assert abs(start_setpoint.alpha_bar - last.sp.alpha_bar) <= last.dx_alpha
         assert abs(start_setpoint.theta_bar - last.sp.theta_bar) <= last.dx_theta
+
+    @pytest.mark.parametrize("eps", [0.25, 1.0, 2.0])
+    def test_vertical_crossing_radii_clear_the_floor(
+            self, plant, default_bundle, start_setpoint, ref_setpoint, eps):
+        """min_radii floors every waypoint's radii, the apex's too: its
+        tension is the hover tension, which GainConfig keeps above eps."""
+        from tautuav.cli import _certificate
+
+        g = tu.GainConfig(eps=eps)
+        cert, env, _ = _certificate(plant, g, default_bundle[2],
+                                    estimate=False)
+        plan = tu.backtrack_plan(start_setpoint, ref_setpoint, g, plant,
+                                 cert, env)
+        assert any(w.sp.alpha_bar == math.pi / 2.0 for w in plan.waypoints)
+        d_alpha, d_theta = plan.min_radii
+        for w in plan.waypoints:
+            assert w.dx_alpha >= d_alpha and w.dx_theta >= d_theta
 
     def test_growth_proxy_centers_separate(self, plant, gains,
                                            default_certificate, start_setpoint,
