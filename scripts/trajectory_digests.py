@@ -18,6 +18,11 @@ checkouts and ``diff`` the outputs to show that a change leaves every
 trajectory and plan bit-identical:
 
     python3 scripts/trajectory_digests.py > after.txt
+
+Every flight is flown twice, on the compiled flight loop (as
+``tautuav simulate`` flies it) and on the Python loop, and the script
+exits 1, naming the flight on stderr, if their columns or events differ;
+the printed lines are those of the compiled loop.
 """
 
 import contextlib
@@ -35,7 +40,7 @@ import numpy as np
 import tautuav as tu
 from perfbench.workloads import (MISSION_T_FINAL, MISSIONS_PER_PASS,
                                  REFERENCE_RG_T_FINAL, sample_missions)
-from tautuav import analysis, cli
+from tautuav import analysis, cli, sim
 from tautuav.cli import build_plan, parse_config, simulate
 
 SEEDS = (0, 1)
@@ -53,10 +58,20 @@ def sha(*parts) -> str:
 
 
 def line(name: str, p, g, cfg) -> str:
+    """The flight's digest line; a flight whose Python loop gives other
+    columns or events is also named in MISMATCHES."""
     log, report, plan = simulate(p, g, cfg)
+    python = sim._run(cfg, g, p, plan, compiled=False)
+    columns, events = sha(*log.columns()), sha(log.events)
+    if (sha(*python.columns()), sha(python.events)) != (columns, events):
+        MISMATCHES.append(name)
+        print(f"{name}: the compiled and Python loops differ", file=sys.stderr)
     monitor = [[c.name, c.passed, c.first_failure_time] for c in report.checks]
-    return (f"{name} columns={sha(*log.columns())} events={sha(log.events)} "
+    return (f"{name} columns={columns} events={events} "
             f"plan={sha(plan)} monitor={sha(monitor)}")
+
+
+MISMATCHES: list[str] = []
 
 
 def missions(p, g, base, seeds):
@@ -94,7 +109,7 @@ def main() -> int:
           f"{analysis.estimate_gamma_out(base.reference, g, p)!r} "
           f"certify-estimate exit={code} report={sha(report.getvalue())}",
           flush=True)
-    return 0
+    return 1 if MISMATCHES else 0
 
 
 if __name__ == "__main__":

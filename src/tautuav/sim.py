@@ -20,6 +20,16 @@ and convergence is declared at the start of the first window in which the
 six-state error norm stays below tolerance for the dwell period.  A tension
 violation is an event, not an error -- the run continues to the horizon so
 the three scenarios stay comparable sample by sample.
+
+Two loops take the steps, with the same float operations in the same order,
+so that their logs agree bit for bit: the compiled loop of ``flight.c`` and
+the Python loop, its oracle and fallback.  :func:`run_scenario` flies the
+compiled loop while this module's ``closed_loop_rhs``,
+``closed_loop_rk4_step`` and ``governor_step`` are the package's own, so a
+wrapper put on any of them sees every call.  The C file is built on the
+first flight, never at import, with the compiler Python was built with and
+:data:`_CFLAGS`, into ``__pycache__/flight-<hash>.so``; a failed build warns
+once and leaves every flight on the Python loop.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 import array
 import enum
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -176,10 +187,22 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
     read ``t``, the law changes only on a switch, and the supervisor, pure in
     ``(y, plan, index)``, has just returned the index it would be given
     again.
+
+    The steps are flown by the compiled loop of ``flight.c`` when
+    ``closed_loop_rhs``, ``closed_loop_rk4_step`` and ``governor_step`` here
+    are still the package's own, and by the Python loop otherwise, so that
+    a wrapper put on any of them sees every call; the two give the same log
+    bit for bit.
     """
-    mode = cfg.mode
-    ideal = mode is ScenarioMode.IDEAL_ATTITUDE
-    if mode is ScenarioMode.INNER_WITH_RG:
+    return _run(cfg, g, p, plan, compiled=all(
+        globals().get(name) is stage for name, stage in _OWN_STAGES.items()))
+
+
+def _run(cfg: SimConfig, g: GainConfig, p: PlantParams,
+         plan: WaypointPlan | None, compiled: bool) -> TrajectoryLog:
+    """:func:`run_scenario` on the compiled loop, where it builds, or on the
+    Python loop."""
+    if cfg.mode is ScenarioMode.INNER_WITH_RG:
         if plan is None:
             raise ValueError("inner-with-rg mode requires a waypoint plan")
         wp_index = len(plan.waypoints) - 1
@@ -192,12 +215,35 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
 
     dt = cfg.dt
     n_steps = int(round(cfg.t_final / dt))
-    y = cfg.initial.as_tuple()
-    law = None  # the control law of the applied reference, once settled
+    raw = np.empty((13, n_steps + 1))
     switch_times: list[float] = []
+    y = cfg.initial.as_tuple()
+    library = _flight_library() if compiled else None
+    if library is None:
+        logged = _python_flight(raw, 0, y, wp_index, None, cfg, g, p, plan,
+                                switch_times)
+    else:
+        logged = _compiled_flight(library, raw, y, wp_index, cfg, g, p, plan,
+                                  switch_times)
+    raw[:, logged:] = raw[:, logged - 1:logged]
+    raw[0, logged:] = np.arange(logged, n_steps + 1) * dt
+    return _finish_log(raw, cfg, tuple(switch_times))
+
+
+def _python_flight(raw: np.ndarray, start: int, y: tuple[float, ...],
+                   wp_index: int, law: tuple | None, cfg: SimConfig,
+                   g: GainConfig, p: PlantParams, plan: WaypointPlan | None,
+                   switch_times: list[float]) -> int:
+    """The step loop in Python, from step ``start`` at the state ``y`` under
+    ``law`` (``None`` to settle it there) to the horizon or a fixed point.
+    Writes the raw rows into ``raw`` and returns the number of rows logged
+    from step 0."""
+    ideal = cfg.mode is ScenarioMode.IDEAL_ATTITUDE
+    dt = cfg.dt
+    n_steps = raw.shape[1] - 1
     rows = array.array("d")  # the raw rows, 13 values each, back to back
 
-    for k in range(n_steps + 1):
+    for k in range(start, n_steps + 1):
         t = k * dt
         if wp_index > 0:
             index = governor_step(y, plan, wp_index)
@@ -226,15 +272,134 @@ def run_scenario(cfg: SimConfig, g: GainConfig, p: PlantParams,
         if not all(map(math.isfinite, y)):
             raise SimulationDiverged(f"non-finite state at t={t + dt}: {y}")
 
-    logged = len(rows) // 13
-    raw = np.empty((13, n_steps + 1))
-    raw[:, :logged] = np.frombuffer(rows).reshape(logged, 13).T
-    del rows  # free the row buffer before _finish_log's temporaries
-    raw[:, logged:] = raw[:, logged - 1:logged]
-    raw[0, logged:] = np.arange(logged, n_steps + 1) * dt
-    return _finish_log(raw, cfg, tuple(switch_times))
+    logged = start + len(rows) // 13
+    raw[:, start:logged] = np.frombuffer(rows).reshape(-1, 13).T
+    return logged
 
 
+def _compiled_flight(library, raw: np.ndarray, y: tuple[float, ...],
+                     wp_index: int, cfg: SimConfig, g: GainConfig,
+                     p: PlantParams, plan: WaypointPlan | None,
+                     switch_times: list[float]) -> int:
+    """:func:`_python_flight` from step 0 with the steps taken in C.
+
+    Python takes the supervisor's verdict on the first row and settles the
+    law there and at every switch, so that :func:`closed_loop` is called as
+    the Python loop calls it; a step that the C loop leaves to Python, one
+    that raises or meets a value that is not finite, and the rest of the
+    flight are flown by :func:`_python_flight`."""
+    import ctypes
+
+    ideal = cfg.mode is ScenarioMode.IDEAL_ATTITUDE
+    dt = cfg.dt
+    n_steps = raw.shape[1] - 1
+    balls = rate_bounds = None
+    if plan is not None:
+        balls = (ctypes.c_double * (4 * len(plan.waypoints)))(*(
+            v for w in plan.waypoints for v in (
+                w.sp.alpha_bar, w.sp.theta_bar, w.dx_alpha ** 2,
+                w.dx_theta ** 2)))
+        rate_bounds = (ctypes.c_double * 2)(*plan.rate_bounds)
+    state = (ctypes.c_double * 6)(*y)
+    step, index = ctypes.c_long(0), ctypes.c_long(wp_index)
+    rows = raw.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+
+    if wp_index > 0:
+        index.value = governor_step(y, plan, wp_index)
+        if index.value != wp_index:
+            switch_times.append(0 * dt)
+    while True:
+        start = step.value
+        sp = (cfg.reference if index.value < 0
+              else plan.waypoints[index.value].sp)
+        law = closed_loop(sp, g, p, ideal_attitude=ideal)
+        status = library.tautuav_fly(
+            (ctypes.c_double * 17)(*law[1:]), law[0], balls, rate_bounds,
+            n_steps, dt, state, ctypes.byref(step), ctypes.byref(index), rows)
+        if status == _DONE:
+            return step.value
+        if status == _BAIL:
+            return _python_flight(
+                raw, step.value, tuple(state), index.value,
+                None if step.value == start else law, cfg, g, p, plan,
+                switch_times)
+        switch_times.append(step.value * dt)
+
+
+_OWN_STAGES = {"closed_loop_rhs": closed_loop_rhs,
+               "closed_loop_rk4_step": closed_loop_rk4_step,
+               "governor_step": governor_step}
+_DONE, _BAIL = 0, 2  # tautuav_fly's return codes; 1 is a switch
+_SOURCE = os.path.join(os.path.dirname(__file__), "flight.c")
+#: No fused multiply-adds, and every libm function a call: the Python
+#: loop's float operations exactly (see flight.c).
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin")
+_library = None  # the loaded flight loop; False once it failed to build
+
+
+def _compiler() -> list[str]:
+    """The C compiler Python was built with."""
+    import shlex
+    import sysconfig
+
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+def _flight_library():
+    """The compiled flight loop, or ``None`` when it cannot be built.
+
+    Built on first use into ``__pycache__/flight-<hash>.so`` beside the
+    source, keyed on the source, the compiler and :data:`_CFLAGS`, and
+    loaded with ``ctypes``.  A failed build warns once and leaves every
+    flight on the Python loop."""
+    global _library
+    if _library is None:
+        try:
+            _library = _load_flight_library()
+        except OSError as exc:
+            import warnings
+
+            warnings.warn(f"tautuav: the compiled flight loop is not "
+                          f"available ({exc}); flying the Python loop",
+                          RuntimeWarning, stacklevel=4)
+            _library = False
+    return _library or None
+
+
+def _load_flight_library():
+    """Build ``flight.c`` unless its build is cached, and load it; raises
+    ``OSError`` naming the compiler's error."""
+    import ctypes
+    import hashlib
+    import subprocess
+
+    compiler = _compiler()
+    with open(_SOURCE, "rb") as f:
+        key = hashlib.sha256(repr((compiler, _CFLAGS)).encode() + f.read())
+    cache = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+    path = os.path.join(cache, f"flight-{key.hexdigest()[:24]}.so")
+    if not os.path.exists(path):
+        os.makedirs(cache, exist_ok=True)
+        partial = f"{path}.{os.getpid()}.tmp"
+        try:
+            build = subprocess.run(
+                [*compiler, *_CFLAGS, "-shared", "-fPIC", "-o", partial,
+                 _SOURCE, "-lm"], capture_output=True, text=True)
+            if build.returncode != 0:
+                raise OSError(f"{' '.join(compiler)} exited with "
+                              f"{build.returncode}: {build.stderr.strip()}")
+            os.replace(partial, path)
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
+    library = ctypes.CDLL(path)
+    double_p = ctypes.POINTER(ctypes.c_double)
+    long_p = ctypes.POINTER(ctypes.c_long)
+    library.tautuav_fly.argtypes = (
+        double_p, ctypes.c_int, double_p, double_p, ctypes.c_long,
+        ctypes.c_double, double_p, long_p, long_p, double_p)
+    library.tautuav_fly.restype = ctypes.c_int
+    return library
 def _wrap_angles(x: np.ndarray) -> np.ndarray:
     """:func:`tautuav.plant.wrap_angle` elementwise, bit for bit."""
     y = np.fmod(x + math.pi, 2.0 * math.pi)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tautuav as tu
 from tautuav import sim
@@ -390,6 +392,92 @@ class TestFastForward:
         want, fixed = every_step(cfg, g, p)
         assert fixed is None
         assert_same_log(tu.run_scenario(cfg, g, p), want)
+
+
+def fly_both(cfg, g, p, plan=None):
+    """What the compiled loop and the Python loop give for one flight: each
+    a log, or the type and message of the exception it raised."""
+    outcomes = []
+    for compiled in (True, False):
+        try:
+            outcomes.append(sim._run(cfg, g, p, plan, compiled=compiled))
+        except (ArithmeticError, ValueError, SimulationDiverged) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def flight_library():
+    library = sim._flight_library()
+    if library is None:
+        pytest.skip("no C compiler to build the flight loop")
+    return library
+
+
+class TestCompiledLoop:
+    """The compiled flight loop gives the Python loop's log bit for bit, the
+    events included, and raises the same exception with the same message."""
+
+    def test_criterion_8_missions(self, flight_library, default_bundle):
+        from tautuav.cli import _certificate
+
+        p, g, _ = default_bundle
+        rng = np.random.default_rng(31)  # criterion 8's draws, 6 s each
+        switches = 0
+        for _ in range(10):
+            same_half = bool(rng.uniform() < 0.5)
+            half = "low" if rng.uniform() < 0.5 else "high"
+            start = sample_attainable(rng, g.eps, p, half=half)
+            other = half if same_half else ("high" if half == "low" else "low")
+            final = sample_attainable(rng, g.eps, p, half=other)
+            cfg = tu.SimConfig(
+                mode=tu.ScenarioMode.INNER_WITH_RG, t_final=6.0,
+                initial=tu.FullState.initial(start.r_bar, start.alpha_bar,
+                                             start.theta_bar),
+                reference=final)
+            cert, env, _ = _certificate(p, g, cfg, estimate=False)
+            plan = tu.backtrack_plan(start, final, g, p, cert, env)
+            compiled, python = fly_both(cfg, g, p, plan)
+            assert_same_log(compiled, python)
+            switches += len(python.events.switch_times)
+        assert switches >= 10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.tuples(st.floats(0.05, 2.0), st.floats(-0.03, 0.03),
+                     st.floats(-0.5, 3.6), st.floats(-2.0, 2.0),
+                     st.floats(-1.5, 1.5), st.floats(-5.0, 5.0)),
+           st.sampled_from((tu.ScenarioMode.IDEAL_ATTITUDE,
+                            tu.ScenarioMode.INNER_NO_RG)))
+    def test_ungoverned_flights_from_drawn_states(
+            self, flight_library, default_bundle, state, mode):
+        p, g, cfg = default_bundle
+        cfg = dataclasses.replace(cfg, mode=mode, t_final=1.0,
+                                  initial=tu.FullState(*state))
+        compiled, python = fly_both(cfg, g, p)
+        if isinstance(python, tuple):
+            assert compiled == python
+        else:
+            assert_same_log(compiled, python)
+
+    def test_slack_cable_raises_alike(self, flight_library, plant, gains):
+        cfg = tu.SimConfig(
+            mode=tu.ScenarioMode.INNER_NO_RG, t_final=1.0,
+            initial=tu.FullState(0.001, -0.03, math.pi / 8.0, 0.0,
+                                 math.pi / 10.0, 0.0))
+        compiled, python = fly_both(cfg, gains, plant)
+        assert python[0] is ValueError
+        assert python[1].startswith("taut model requires r > 0, got r=-")
+        assert compiled == python
+
+    @pytest.mark.parametrize("gain, error", [
+        ("k_pt", SimulationDiverged), ("k_pa", OverflowError)])
+    def test_overflow_raises_alike(self, flight_library, plant, gains, gain,
+                                   error):
+        cfg = tu.SimConfig(mode=tu.ScenarioMode.INNER_NO_RG, t_final=1.0)
+        compiled, python = fly_both(
+            cfg, dataclasses.replace(gains, **{gain: 1e200}), plant)
+        assert python[0] is error
+        assert compiled == python
 
 
 def loop_finish(raw, cfg):
